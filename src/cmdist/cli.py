@@ -228,14 +228,17 @@ def run(config: RunConfig) -> int:
             },
         }
         _emit(config, payload)
-        width = 58
-        print("-" * width)
-        print(f"{'convex matching distance':<34}{_num(result.value):>24}")
-        print(f"{'  argmax t':<34}{_num(result.argmax_t):>24}")
-        print(f"{'  certificate gap':<34}{_num(result.gap):>24}")
-        print(f"{'matching distance (sampled, ' + str(na) + 'x' + str(nb) + ')':<34}{_num(value):>24}")
-        print(f"{'  witness (a, b)':<34}{'(' + _num(witness.a) + ', ' + _num(witness.b) + ')':>24}")
-        print("-" * width)
+        rows = [
+            ("convex matching distance", _num(result.value)),
+            ("  argmax t", _num(result.argmax_t)),
+            ("  certificate gap", _num(result.gap)),
+            (f"matching distance (sampled, {na}x{nb})", _num(value)),
+            ("  witness (a, b)", f"({_num(witness.a)}, {_num(witness.b)})"),
+        ]
+        rule = "-" * 58
+        table = "\n".join([rule, *(f"{label:<34}{cell:>24}" for label, cell in rows), rule])
+        # stdout carries the table only when the JSON went to --out
+        print(table, file=sys.stdout if config.out else sys.stderr)
         return 0
 
     raise ValueError(f"unknown command {config.command!r}")

@@ -174,6 +174,18 @@ def _tie_break_keys(index_rows: np.ndarray, width: int) -> list[np.ndarray]:
     return cols
 
 
+def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Largest vertex value of each row of ``simplices``.
+
+    Column-wise ``np.maximum``: ``values[simplices].max(axis=1)`` gives the
+    same floats but is about ten times slower on rows of length 2 or 3.
+    """
+    out = values[simplices[:, 0]]
+    for c in range(1, simplices.shape[1]):
+        np.maximum(out, values[simplices[:, c]], out=out)
+    return out
+
+
 def lower_star_filtration(complex: SimplicialComplex, f: VertexFunction) -> Filtration:
     """Filtration where each simplex enters at the max of its vertex values.
 
@@ -187,8 +199,8 @@ def lower_star_filtration(complex: SimplicialComplex, f: VertexFunction) -> Filt
     nv, ne = complex.n_vertices, len(complex.edges)
     all_values = np.concatenate([
         values,
-        values[complex.edges].max(axis=1) if ne else np.empty(0),
-        values[complex.triangles].max(axis=1) if len(complex.triangles) else np.empty(0),
+        simplex_values(values, complex.edges),
+        simplex_values(values, complex.triangles),
     ])
     key_cols = [np.empty(len(all_values), np.int64) for _ in range(3)]
     vk = _tie_break_keys(np.arange(nv), 3)

@@ -2,10 +2,12 @@
 
 Points below the diagonal never occur; the diagonal itself is implicit with
 infinite multiplicity and is represented by the :data:`DIAGONAL` sentinel in
-point-level computations.  The bottleneck distance restricts its search to
-the finite candidate grid ``c * |w0 - w1|`` with ``c`` in {1/2, 1} over all
-coordinates of the two diagrams, so results are exact in float arithmetic
-and the brute-force oracle must agree with no tolerance.
+point-level computations.  The bottleneck distance binary-searches the
+sorted costs that some point-point or point-diagonal pair actually realizes,
+and tests each threshold with SciPy's bipartite matching on the two sides
+separately (Mendelsohn-Dulmage).  The value is always a realized cost, so
+results are exact in float arithmetic and the oracles must agree with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 INF = math.inf
 
@@ -153,7 +159,8 @@ def candidate_costs(d1: PersistenceDiagram, d2: PersistenceDiagram) -> list[floa
     """Sorted candidate values c*|w0 - w1|, c in {1/2, 1}, over all coordinates.
 
     The bottleneck distance of the pair is always an element of this list,
-    or 0, or +inf.
+    or +inf.  :func:`bottleneck_distance` does not search this list, which
+    holds O(N^2) values that no pair realizes; it searches the realized costs.
     """
     if d1.degree != d2.degree:
         raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
@@ -170,73 +177,43 @@ def _split(diagram: PersistenceDiagram):
     finite, infinite = [], []
     for b, d in diagram.expanded():
         (infinite if math.isinf(d) else finite).append((b, d))
-    return finite, sorted(infinite)
+    return np.array(finite, dtype=np.float64).reshape(-1, 2), sorted(infinite)
 
 
-def _matchable(n1: int, n2: int, allowed, diag1, diag2) -> bool:
-    """Perfect-matching feasibility on the diagonal-augmented bipartite graph.
+def _realized_bottleneck(f1: np.ndarray, f2: np.ndarray) -> float:
+    """Smallest realized cost at which the finite points admit a perfect matching.
 
-    Left nodes: points of D1 then diagonal slots for D2's points; right nodes
-    symmetric.  ``allowed[i][j]`` marks usable point-point edges, ``diag1[i]``
-    whether left point i may retire to the diagonal (symmetrically diag2).
+    Costs are those of :func:`_pair_cost` and :func:`_diagonal_cost`, computed
+    with the same float operations.  At ``lam``, points whose diagonal cost
+    exceeds ``lam`` must be matched inside the graph ``{pair <= lam}``; by the
+    Mendelsohn-Dulmage theorem one matching covers those of both diagrams iff
+    one matching covers those of D1 and another those of D2.
     """
-    n = n1 + n2
-    match_right = [-1] * n
-
-    def neighbours(i):
-        if i < n1:
-            for j in range(n2):
-                if allowed[i][j]:
-                    yield j
-            if diag1[i]:
-                yield n2 + i
-        else:
-            j2 = i - n1
-            if diag2[j2]:
-                yield j2
-            yield from range(n2, n)
-
-    def augment(i, seen):
-        for j in neighbours(i):
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_right[j] == -1 or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(n):
-        if augment(i, [False] * n):
-            size += 1
-    return size == n
-
-
-def _finite_bottleneck(f1, f2, cands) -> float:
-    n1, n2 = len(f1), len(f2)
-    if n1 == 0 and n2 == 0:
+    if not len(f1) and not len(f2):
         return 0.0
-    costs = [[_pair_cost(p, q) for q in f2] for p in f1]
-    diag1_cost = [_diagonal_cost(p) for p in f1]
-    diag2_cost = [_diagonal_cost(q) for q in f2]
+    h1 = (f1[:, 1] - f1[:, 0]) / 2
+    h2 = (f2[:, 1] - f2[:, 0]) / 2
+    pair = np.minimum(
+        np.maximum(np.abs(f1[:, None, 0] - f2[None, :, 0]), np.abs(f1[:, None, 1] - f2[None, :, 1])),
+        np.maximum(h1[:, None], h2[None, :]),
+    )
+    costs = np.unique(np.concatenate([pair.ravel(), h1, h2]))
+
+    def covered(graph: np.ndarray, perm_type: str) -> bool:
+        return bool(np.all(maximum_bipartite_matching(csr_matrix(graph), perm_type=perm_type) >= 0))
 
     def feasible(lam: float) -> bool:
-        allowed = [[costs[i][j] <= lam for j in range(n2)] for i in range(n1)]
-        diag1 = [c <= lam for c in diag1_cost]
-        diag2 = [c <= lam for c in diag2_cost]
-        return _matchable(n1, n2, allowed, diag1, diag2)
+        allowed = pair <= lam
+        return covered(allowed[h1 > lam], "column") and covered(allowed[:, h2 > lam], "row")
 
-    lo, hi = 0, len(cands) - 1
-    if not feasible(cands[hi]):  # cannot happen: the largest candidate retires everything
-        return INF
+    lo, hi = 0, len(costs) - 1  # the largest cost retires every point to the diagonal
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(cands[mid]):
+        if feasible(costs[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return cands[lo]
+    return float(costs[lo])
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -252,9 +229,7 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     if len(i1) != len(i2):
         return INF
     inf_cost = max((abs(a[0] - b[0]) for a, b in zip(i1, i2)), default=0.0)
-    cands = candidate_costs(d1, d2)
-    fin_cost = _finite_bottleneck(f1, f2, cands)
-    return max(inf_cost, fin_cost)
+    return max(inf_cost, _realized_bottleneck(f1, f2))
 
 
 def bottleneck_bruteforce(d1: PersistenceDiagram, d2: PersistenceDiagram, limit: int = 12) -> float:

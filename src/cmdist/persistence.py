@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, MeshError, SimplicialComplex
+from .complexes import Filtration, MeshError, SimplicialComplex, simplex_values
 from .diagram import PersistenceDiagram
 
 try:  # optional: JIT for the union-find merge loop
@@ -175,7 +175,7 @@ class _LowerStar:
     def edge_data(self):
         if self._edge_data is None:
             edges = self.complex.edges
-            evals = self.values[edges].max(axis=1) if len(edges) else np.empty(0)
+            evals = simplex_values(self.values, edges)
             order = (np.lexsort((edges[:, 0], edges[:, 1], evals))
                      if len(edges) else np.empty(0, np.int64))
             self._edge_data = (edges[order], evals[order], order)
@@ -184,7 +184,7 @@ class _LowerStar:
     def tri_data(self):
         if self._tri_data is None:
             tris = self.complex.triangles
-            tvals = self.values[tris].max(axis=1) if len(tris) else np.empty(0)
+            tvals = simplex_values(self.values, tris)
             order = (np.lexsort((tris[:, 0], tris[:, 1], tris[:, 2], tvals))
                      if len(tris) else np.empty(0, np.int64))
             self._tri_data = (tris[order], tvals[order], order)

@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the package.
 
 Deliberately naive: plain set-based boundary-matrix reduction with no
-clearing and no per-degree shortcuts, and a direct quadratic matching
-check.  Kept separate from the package so each route is computed twice by
-different code.
+clearing and no per-degree shortcuts, and a bottleneck distance by binary
+search over the candidate grid with a direct quadratic matching check.  Kept
+separate from the package so each route is computed twice by different code.
 """
 
+import itertools
 import math
 
 
@@ -49,3 +50,102 @@ def naive_diagrams(filtration):
 def diagram_multiset(diagram):
     """Sorted (birth, death) list with multiplicity expanded."""
     return sorted(diagram.expanded())
+
+
+def _pair_cost(p, q):
+    (pb, pd), (qb, qd) = p, q
+    return min(max(abs(pb - qb), abs(pd - qd)), max((pd - pb) / 2, (qd - qb) / 2))
+
+
+def _matchable(n1, n2, allowed, diag1, diag2):
+    """Perfect-matching feasibility on the diagonal-augmented bipartite graph.
+
+    Left nodes: points of D1 then diagonal slots for D2's points; right nodes
+    symmetric.  ``allowed[i][j]`` marks usable point-point edges, ``diag1[i]``
+    whether left point i may retire to the diagonal (symmetrically diag2).
+    Recursive augmenting paths: fine for the tens of points the tests use.
+    """
+    n = n1 + n2
+    match_right = [-1] * n
+
+    def neighbours(i):
+        if i < n1:
+            for j in range(n2):
+                if allowed[i][j]:
+                    yield j
+            if diag1[i]:
+                yield n2 + i
+        else:
+            j2 = i - n1
+            if diag2[j2]:
+                yield j2
+            yield from range(n2, n)
+
+    def augment(i, seen):
+        for j in neighbours(i):
+            if seen[j]:
+                continue
+            seen[j] = True
+            if match_right[j] == -1 or augment(match_right[j], seen):
+                match_right[j] = i
+                return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
+def _finite_bottleneck(f1, f2, cands):
+    """Smallest candidate at which the finite points admit a perfect matching."""
+    n1, n2 = len(f1), len(f2)
+    if n1 == 0 and n2 == 0:
+        return 0.0
+    costs = [[_pair_cost(p, q) for q in f2] for p in f1]
+    diag1_cost = [(d - b) / 2 for b, d in f1]
+    diag2_cost = [(d - b) / 2 for b, d in f2]
+
+    def feasible(lam):
+        allowed = [[costs[i][j] <= lam for j in range(n2)] for i in range(n1)]
+        diag1 = [c <= lam for c in diag1_cost]
+        diag2 = [c <= lam for c in diag2_cost]
+        return _matchable(n1, n2, allowed, diag1, diag2)
+
+    lo, hi = 0, len(cands) - 1  # the largest candidate retires every point
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo]
+
+
+def candidate_costs(d1, d2):
+    """Sorted values c*|w0 - w1|, c in {1/2, 1}, over all finite coordinates, and 0."""
+    coords = d1.coordinates() + d2.coordinates()
+    cands = {0.0}
+    for w0, w1 in itertools.combinations(coords, 2):
+        gap = abs(w0 - w1)
+        cands.add(gap)
+        cands.add(gap / 2)
+    return sorted(cands)
+
+
+def bottleneck_candidate_grid(d1, d2):
+    """Bottleneck distance by binary search over the candidate grid.
+
+    Searches every ``c * |w0 - w1|`` over coordinate pairs, not only the
+    realized costs, and checks feasibility with a direct augmenting-path
+    search on the dense diagonal-augmented graph.  Essential points match by
+    sorted births.
+    """
+    if d1.degree != d2.degree:
+        raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
+    points1, points2 = d1.expanded(), d2.expanded()
+    e1 = sorted(b for b, d in points1 if math.isinf(d))
+    e2 = sorted(b for b, d in points2 if math.isinf(d))
+    if len(e1) != len(e2):
+        return math.inf
+    f1 = [p for p in points1 if math.isfinite(p[1])]
+    f2 = [p for p in points2 if math.isfinite(p[1])]
+    ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
+    return max(ess, _finite_bottleneck(f1, f2, candidate_costs(d1, d2)))

@@ -118,6 +118,16 @@ def test_compare_command(tmp_path, capsys):
     assert payload["matchdist"]["value"] >= 0.45
 
 
+def test_compare_stdout_is_one_json_document(capsys):
+    code = main(["compare", "--fixture", "cone:16", "--fixture2", "disk:16",
+                 "--degree", "0", "--grid", "3x3"])
+    assert code == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["matchdist"]["grid"] == {"n_a": 3, "n_b": 3}
+    assert "convex matching distance" in captured.err
+
+
 def test_mesh_and_values_inputs(tmp_path):
     cx, f = fixture("cone", 16)
     mesh, values = tmp_path / "m.off", tmp_path / "v.csv"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture
+from oracles import bottleneck_candidate_grid
 
 INF = math.inf
 
@@ -133,6 +135,55 @@ def test_result_is_a_candidate():
         if math.isinf(value):
             continue
         assert value == 0.0 or value in candidate_costs(d1, d2)
+
+
+def tied_diagram(rng, max_points, degree=0):
+    """Coordinates on a 0.25 grid, so costs tie and points repeat."""
+    pts = []
+    for _ in range(int(rng.integers(0, max_points + 1))):
+        birth = float(rng.integers(-8, 8)) / 4
+        death = INF if rng.random() < 0.1 else birth + float(rng.integers(1, 12)) / 4
+        pts.append((birth, death))
+    return PersistenceDiagram.from_pairs(degree, pts)
+
+
+def test_candidate_grid_oracle_agreement_on_random_diagrams():
+    rng = np.random.default_rng(505)
+    for trial in range(300):
+        d1 = random_diagram(rng)
+        d2 = random_diagram(rng)
+        assert bottleneck_distance(d1, d2) == bottleneck_candidate_grid(d1, d2), trial
+    for trial in range(300):
+        d1 = tied_diagram(rng, 25)
+        d2 = tied_diagram(rng, 25)
+        assert bottleneck_distance(d1, d2) == bottleneck_candidate_grid(d1, d2), trial
+
+
+def test_candidate_grid_oracle_agreement_on_noisy_fixtures():
+    rng = np.random.default_rng(606)
+    (cx1, f1), (cx2, f2) = get_fixture("sphere", 32), get_fixture("ellipsoid(2,1)", 32)
+    sizes = []
+    for t in (0.0, 0.3, 0.7, 1.0):
+        v1 = f1.at(t) + rng.uniform(-0.1, 0.1, size=cx1.n_vertices)
+        v2 = f2.at(t) + rng.uniform(-0.1, 0.1, size=cx2.n_vertices)
+        for k in (0, 1):
+            d1, d2 = lower_star_diagram(cx1, v1, k), lower_star_diagram(cx2, v2, k)
+            sizes.append(d1.total_multiplicity() + d2.total_multiplicity())
+            assert bottleneck_distance(d1, d2) == bottleneck_candidate_grid(d1, d2), (t, k)
+    assert max(sizes) >= 40  # beyond the reach of the brute-force oracle
+
+
+def test_chain_pair_has_no_recursion_or_time_cliff():
+    # Every D1 point lies between two D2 points at distance 1, and every
+    # point is far from the diagonal: augmenting paths run the whole chain.
+    n = 1500
+    d1 = dgm(*[(2.0 * i, 2.0 * i + 100) for i in range(n)], (0.0, INF))
+    d2 = dgm(*[(2.0 * i + 1, 2.0 * i + 101) for i in range(n)], (0.5, INF))
+    start = time.perf_counter()
+    value = bottleneck_distance(d1, d2)
+    elapsed = time.perf_counter() - start
+    assert value == 1.0
+    assert elapsed < 5.0
 
 
 def test_metric_axioms_on_random_triples():
