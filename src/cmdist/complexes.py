@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,38 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
+
+    @cached_property
+    def triangle_edges(self) -> np.ndarray:
+        """(nt, 3) rows of ``edges`` holding each triangle's faces (a, b), (a, c), (b, c).
+
+        Computed once per complex and read-only, so evaluations on several
+        threads can share it; computing it twice gives the same array.
+        """
+        n, edges, tris = len(self.vertices), self.edges, self.triangles
+        codes = edges[:, 0] * n + edges[:, 1]
+        sorter = np.argsort(codes)
+        faces = np.column_stack([tris[:, 0] * n + tris[:, 1], tris[:, 0] * n + tris[:, 2],
+                                 tris[:, 1] * n + tris[:, 2]])
+        out = sorter[np.searchsorted(codes, faces, sorter=sorter)]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def edge_cofaces(self) -> np.ndarray | None:
+        """(ne, 2) the triangles on each edge, padded with -1; None if an edge has three or more."""
+        flat = self.triangle_edges.ravel()
+        if len(flat) and np.bincount(flat).max() > 2:
+            return None
+        srt = np.argsort(flat, kind="stable")
+        e, t = flat[srt], srt // 3
+        second = np.zeros(len(e), dtype=bool)
+        second[1:] = e[1:] == e[:-1]
+        out = np.full((len(self.edges), 2), -1, dtype=np.int64)
+        out[e[~second], 0] = t[~second]
+        out[e[second], 1] = t[second]
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ class CmdResult:
 
     ``value`` is the best evaluated g, attained at ``argmax_t``; the true
     maximum is certified to be at most ``value + gap`` (for mode
-    ``special-values`` without cross-checking, the certificate instead leans
-    on the special-value characterization, flagged in ``note``).
+    ``special-values`` with cross-checking, the gap is instead the
+    disagreement with branch-and-bound, flagged in ``note``).
     """
 
     value: float

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
-from .convex import CmdResult, DEFAULT_EPS, cmd_maximize, g_value
+from .convex import CmdResult, DEFAULT_EPS, cmd_maximize, g_value, lipschitz_constant
 
 CURVATURE_FLOOR = 1e-9
 TAU_ROOT_TOL = 1e-10
@@ -857,9 +857,11 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     """Distance maximum evaluated only at the special values of the contour pair.
 
     Degenerate families are sampled at 17 Chebyshev points of their
-    interval.  Without ``cross_check`` the gap is reported as 0 and the note
-    records that the certificate leans on the special-value characterization;
-    with it, the gap is the disagreement against branch-and-bound.
+    interval.  Without ``cross_check`` the gap is the Lipschitz bound over
+    the evaluated ``t``: between consecutive ``t_i < t_{i+1}`` no value of g
+    exceeds ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2``, and the ends of
+    [0, 1] add ``g_0 + L*t_0`` and ``g_m + L*(1 - t_m)``.  With it, the gap
+    is the disagreement against branch-and-bound.
     """
     specials = special_values(contours_f, contours_h)
     ts: list[float] = []
@@ -882,8 +884,14 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
         gap = abs(best - reference.value) if math.isfinite(best) and math.isfinite(reference.value) else 0.0
         note = f"cross-checked against branch-and-bound (eps={eps:g})"
     else:
-        gap = 0.0
-        note = "gap assumes the maximizer lies in the computed special set"
+        L = lipschitz_constant(f, h)
+        (t0, g0), (tm, gm) = trace[0], trace[-1]
+        bound = max([g0 + L * t0, gm + L * (1.0 - tm)]
+                    + [(ga + gb + L * (tb - ta)) / 2
+                       for (ta, ga), (tb, gb) in zip(trace, trace[1:])])
+        gap = max(bound - best, 0.0) if math.isfinite(best) else 0.0
+        note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
+                "characterization puts the maximizer among them")
     return CmdResult(best, best_t, gap, len(trace), "special-values", tuple(trace), note)
 
 

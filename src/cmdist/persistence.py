@@ -1,19 +1,29 @@
 """Persistence of lower-star filtrations in degrees 0, 1 and 2.
 
-Degree 0 of a lower-star filtration first contracts every vertex into the
-basin of a local minimum: each vertex points at its lowest earlier
-neighbour in the (value, index) order, and pointer jumping takes it to the
-minimum at the end of that descending path.  The contraction is exact,
-because the path from a vertex to its minimum runs through vertices that
-are no higher than the vertex itself, so each basin is already connected in
-every sublevel set that meets it and an edge inside one basin never changes
-a component.  The elder-rule union-find then runs only over the edges that
-join two basins, in filtration order.  Degree 0 of an explicit
-:class:`Filtration` runs the union-find over all its ordered edges.
-Degrees 1 and 2 reduce the triangle boundary columns over the two-element
-field, with columns packed into Python integers so the XOR of two columns
-is a single big-int operation.  Both entry points work from a
-:class:`Filtration` or straight from a complex plus vertex values.
+A lower-star diagram ranks the vertices by (value, index) and keys every
+simplex by the ranks of its vertices, largest first, faces before cofaces;
+that order is a linear extension of the filtration, so the diagrams are the
+same.  The forward pass contracts every vertex into the basin of a local
+minimum: each vertex points at its lowest earlier neighbour, and pointer
+jumping takes it to the minimum at the end of that descending path.  The
+path lies in every sublevel set that holds the vertex, so a basin is
+connected as soon as it appears, and the elder-rule union-find runs only
+over the edges that join two basins.  That pass is degree 0.
+
+Degrees 1 and 2 add the same contraction on the dual graph in reverse
+order: the triangles plus a ground node, the oldest, for the missing coface
+of a boundary edge.  Each triangle dies at its leading edge, the face
+without its lowest vertex, except the older of two triangles that share it;
+the union-find runs over the other edges that join two dual basins.  The
+finite degree-1 points are the dual merges, the degree-1 essentials the
+edges negative in neither pass, and the degree-2 essentials the dual roots
+other than the ground node.  This needs every edge in at most two
+triangles; other complexes go through the explicit filtration.
+
+An explicit :class:`Filtration` runs the union-find over all its ordered
+edges and reduces the triangle boundary columns over the two-element field,
+with columns packed into Python integers so the XOR of two columns is a
+single big-int operation.
 """
 
 from __future__ import annotations
@@ -22,15 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, MeshError, SimplicialComplex, simplex_values
+from .complexes import Filtration, MeshError, SimplicialComplex, lower_star_filtration, simplex_values
 from .diagram import PersistenceDiagram
-
-try:  # optional: JIT for the union-find merge loop
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 SUPPORTED_DEGREES = (0, 1, 2)
 
@@ -47,85 +50,56 @@ class PersistencePairing:
     essentials: tuple[tuple[int, int], ...]  # (filtration index, degree)
 
 
-def _uf_merge_py(parent, birth_val, birth_idx, edge_u, edge_v, edge_val):
-    ne = len(edge_u)
-    pair_birth = np.empty(ne)
-    pair_death = np.empty(ne)
-    pair_vertex = np.empty(ne, dtype=np.int64)
-    pair_edge = np.empty(ne, dtype=np.int64)
-    negative = np.zeros(ne, dtype=np.bool_)
-    k = 0
-    for e in range(ne):
-        u = edge_u[e]
+def _merge(n_nodes, edge_u, edge_v):
+    """Elder-rule union-find over nodes numbered oldest first.
+
+    Runs the edges in the given order.  Returns the dying (younger) root and
+    the edge position of every merge, and the roots left at the end.
+    """
+    parent = list(range(n_nodes))
+    dying, at = [], []
+    for e, (u, v) in enumerate(zip(edge_u.tolist(), edge_v.tolist())):
         while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        v = edge_v[e]
+            parent[u] = u = parent[parent[u]]
         while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        negative[e] = True
-        # elder rule: the component with the larger (birth value, vertex index) dies
-        if (birth_val[u], birth_idx[u]) < (birth_val[v], birth_idx[v]):
-            u, v = v, u
-        pair_birth[k] = birth_val[u]
-        pair_death[k] = edge_val[e]
-        pair_vertex[k] = birth_idx[u]
-        pair_edge[k] = e
-        k += 1
-        parent[u] = v
-    return pair_birth[:k], pair_death[:k], pair_vertex[:k], pair_edge[:k], negative
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _uf_merge_nb(parent, birth_val, birth_idx, edge_u, edge_v, edge_val):  # pragma: no cover
-        ne = len(edge_u)
-        pair_birth = np.empty(ne)
-        pair_death = np.empty(ne)
-        pair_vertex = np.empty(ne, dtype=np.int64)
-        pair_edge = np.empty(ne, dtype=np.int64)
-        negative = np.zeros(ne, dtype=np.bool_)
-        k = 0
-        for e in range(ne):
-            u = edge_u[e]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = edge_v[e]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                continue
-            negative[e] = True
-            if (birth_val[u] < birth_val[v]) or (
-                birth_val[u] == birth_val[v] and birth_idx[u] < birth_idx[v]
-            ):
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
                 u, v = v, u
-            pair_birth[k] = birth_val[u]
-            pair_death[k] = edge_val[e]
-            pair_vertex[k] = birth_idx[u]
-            pair_edge[k] = e
-            k += 1
             parent[u] = v
-        return pair_birth[:k], pair_death[:k], pair_vertex[:k], pair_edge[:k], negative
+            dying.append(u)
+            at.append(e)
+    roots = [i for i, p in enumerate(parent) if p == i]
+    return (np.asarray(dying, dtype=np.int64), np.asarray(at, dtype=np.int64),
+            np.asarray(roots, dtype=np.int64))
 
 
-def _uf_merge(n_vertices, vertex_values, edge_u, edge_v, edge_val, use_numba=True):
-    parent = np.arange(n_vertices, dtype=np.int64)
-    birth_val = np.asarray(vertex_values, dtype=np.float64).copy()
-    birth_idx = np.arange(n_vertices, dtype=np.int64)
-    fn = _uf_merge_nb if (_HAVE_NUMBA and use_numba) else _uf_merge_py
-    out = fn(parent, birth_val, birth_idx,
-             np.ascontiguousarray(edge_u, dtype=np.int64),
-             np.ascontiguousarray(edge_v, dtype=np.int64),
-             np.ascontiguousarray(edge_val, dtype=np.float64))
-    roots = np.flatnonzero(parent == np.arange(n_vertices))
-    return out + (birth_val[roots], birth_idx[roots])
+def _uf_merge(n_vertices, vertex_values, edge_u, edge_v, edge_val):
+    """Union-find over every edge of an explicit order; ties in birth go by vertex index.
+
+    Returns per merge the dying birth value, death value, vertex and edge
+    position, the negative-edge mask, and the births and ids of the roots.
+    """
+    values = np.asarray(vertex_values, dtype=np.float64)
+    order = np.lexsort((np.arange(n_vertices), values))
+    rank = np.empty(n_vertices, dtype=np.int64)
+    rank[order] = np.arange(n_vertices)
+    dying, at, roots = _merge(n_vertices, rank[np.asarray(edge_u, dtype=np.int64)],
+                              rank[np.asarray(edge_v, dtype=np.int64)])
+    negative = np.zeros(len(edge_u), dtype=np.bool_)
+    negative[at] = True
+    dying, roots = order[dying], order[roots]
+    return (values[dying], np.asarray(edge_val, dtype=np.float64)[at], dying, at, negative,
+            values[roots], roots)
+
+
+def _descend(step):
+    """Pointer jumping: follow ``step`` from every node to a fixed point."""
+    while True:
+        nxt = step[step]
+        if np.array_equal(nxt, step):
+            return step
+        step = nxt
 
 
 def _reduce_bit_columns(columns: list[int]):
@@ -158,10 +132,11 @@ def _diagram_points(births, deaths) -> list[tuple[float, float]]:
 
 
 class _LowerStar:
-    """Per-degree lower-star computation for one (complex, values) pair.
+    """Lower-star persistence of one (complex, values) pair, degree by degree.
 
-    Orders are computed lazily so the degree-0 path (the inner loop of the
-    distance maximizer) never touches the triangles.
+    Simplices are ordered by the key (r_max, r_mid, r_min) of their vertex
+    ranks, faces first.  Degrees 1 and 2 assume every edge lies in at most
+    two triangles.
     """
 
     def __init__(self, complex: SimplicialComplex, values: np.ndarray):
@@ -169,129 +144,138 @@ class _LowerStar:
         self.values = np.asarray(values, dtype=np.float64)
         if len(self.values) != complex.n_vertices:
             raise MeshError("function length does not match vertex count")
-        self._edge_data = None
-        self._tri_data = None
+        n = len(self.values)
+        self.order = np.argsort(self.values, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        ranked = self.rank[complex.edges]
+        self.lo = np.minimum(ranked[:, 0], ranked[:, 1])
+        self.hi = np.maximum(ranked[:, 0], ranked[:, 1])
 
     def edge_data(self):
-        if self._edge_data is None:
-            edges = self.complex.edges
-            evals = simplex_values(self.values, edges)
-            order = (np.lexsort((edges[:, 0], edges[:, 1], evals))
-                     if len(edges) else np.empty(0, np.int64))
-            self._edge_data = (edges[order], evals[order], order)
-        return self._edge_data
+        """Edges in the order of :func:`lower_star_filtration`, their values and positions."""
+        edges = self.complex.edges
+        evals = simplex_values(self.values, edges)
+        order = np.lexsort((edges[:, 0], edges[:, 1], evals))
+        return edges[order], evals[order], order
 
-    def tri_data(self):
-        if self._tri_data is None:
-            tris = self.complex.triangles
-            tvals = simplex_values(self.values, tris)
-            order = (np.lexsort((tris[:, 0], tris[:, 1], tris[:, 2], tvals))
-                     if len(tris) else np.empty(0, np.int64))
-            self._tri_data = (tris[order], tvals[order], order)
-        return self._tri_data
+    def _edge_values(self, idx):
+        return self.values[self.order[self.hi[idx]]]
 
-    def dgm0(self, use_numba=True) -> list[tuple[float, float]]:
-        """Degree-0 points by basin contraction, then union-find on basin joins.
+    def _vertex_pass(self):
+        """Forward pass: basin contraction, then union-find over basin joins.
 
-        Every vertex descends to a local minimum of the (value, index) order
-        through its lowest earlier neighbour; the edge to that neighbour has
-        the vertex's own value, so the descending path lies in every
-        sublevel set that holds the vertex.  A basin is therefore connected
-        as soon as it appears, edges inside a basin never merge two
-        components, and the diagram equals the elder-rule union-find over
-        the basin minima and the edges between basins.  ``use_numba``
-        selects the merge kernel for those edges.
+        Every vertex descends to a local minimum through its lowest earlier
+        neighbour; that descending edge is the first edge of the vertex's
+        lower star and merges the vertex into the older component.  The
+        descending path lies in every sublevel set that holds the vertex,
+        so a basin is connected as soon as it appears and edges inside a
+        basin never merge two components.  The elder-rule union-find then
+        runs over the basin minima and the edges between basins, in key
+        order.  Returns the one-step descent, the joins in key order, and
+        the dying basins, merging join positions and surviving basins.
         """
-        values = self.values
-        n = len(values)
-        order = np.argsort(values, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        ranked = rank[self.complex.edges]
-        lo = np.minimum(ranked[:, 0], ranked[:, 1])
-        hi = np.maximum(ranked[:, 0], ranked[:, 1])
-        down = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
-        np.minimum.at(down, hi, lo)
-        while True:  # pointer jumping to the basin minimum
-            nxt = down[down]
-            if np.array_equal(nxt, down):
-                break
-            down = nxt
-        # basins are numbered by the rank of their minimum, so comparing basin
-        # ids breaks birth ties exactly as comparing vertex indices does
+        n = len(self.values)
+        lo, hi = self.lo, self.hi
+        step = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
+        np.minimum.at(step, hi, lo)
+        down = _descend(step)
+        # basins are numbered by the rank of their minimum, oldest first
         is_min = down == np.arange(n)
         basin = (np.cumsum(is_min) - 1)[down]
-        minima = order[is_min]
-        cross = basin[lo] != basin[hi]
-        edges = self.complex.edges[cross]
-        evals = values[order[hi[cross]]]
-        joins = np.lexsort((edges[:, 0], edges[:, 1], evals))
-        (pb, pd, _pv, _pe, _neg, root_births, root_ids) = _uf_merge(
-            len(minima), values[minima], basin[lo[cross]][joins],
-            basin[hi[cross]][joins], evals[joins], use_numba=use_numba,
-        )
-        points = _diagram_points(pb, pd)
-        points.extend((float(b), np.inf) for b in root_births[np.argsort(minima[root_ids])])
+        joins = np.flatnonzero(basin[lo] != basin[hi])
+        joins = joins[np.argsort(hi[joins] * n + lo[joins])]
+        dying, at, roots = _merge(int(is_min.sum()), basin[lo[joins]], basin[hi[joins]])
+        return step, joins, self.order[is_min], dying, at, roots
+
+    def _dual_pass(self):
+        """Reverse pass: union-find on the dual graph, contracted along leading edges.
+
+        The nodes are the triangles plus a ground node, the oldest, that
+        stands for the missing coface of a boundary edge; the dual edges are
+        the mesh edges.  In reverse key order the anti-transposed boundary
+        matrix has the same pairing as the boundary matrix (de Silva,
+        Morozov & Vejdemo-Johansson 2011), so an (edge, triangle) pair is a
+        merge in which the younger dual component, the earlier triangle in
+        the filtration, dies.  The leading edge (w, a) of a triangle
+        (w, a, b), r_w > r_a > r_b, follows it in reverse order with only
+        triangles of the same prefix (w, a) in between, and every other face
+        comes later.  So each triangle dies at its leading edge, joined to
+        the other coface of that edge or to the ground node, except the
+        older of two triangles that share the prefix, which the younger
+        joins; pointer jumping finds these dual basins, and the union-find
+        runs over the other edges that join two of them, in reverse key
+        order.  Returns the (edge, triangle) pairs and the triangles left as
+        roots.
+        """
+        cx, n = self.complex, len(self.values)
+        nt = len(cx.triangles)
+        node = np.arange(nt)
+        rt = self.rank[cx.triangles]
+        rmin = rt.min(axis=1)
+        lead = cx.triangle_edges[node, 2 - rt.argmin(axis=1)]
+        cof = np.where(cx.edge_cofaces < 0, nt, cx.edge_cofaces)
+        other = np.where(cof[lead, 0] == node, cof[lead, 1], cof[lead, 0])
+        is_root = ((np.append(lead, -1)[other] == lead)
+                   & (np.append(rmin, -1)[other] < rmin))
+        down = _descend(np.append(np.where(is_root, node, other), nt))
+        ekey = self.hi * n + self.lo
+        roots = np.flatnonzero(is_root)
+        roots = roots[np.lexsort((rmin[roots], ekey[lead[roots]]))[::-1]]
+        basin_id = np.zeros(nt + 1, dtype=np.int64)  # ground 0, then roots oldest first
+        basin_id[roots] = np.arange(1, len(roots) + 1)
+        basin = basin_id[down]
+        free = np.ones(len(ekey), dtype=bool)
+        pointing = np.flatnonzero(~is_root)
+        free[lead[pointing]] = False
+        joins = np.flatnonzero(free & (basin[cof[:, 0]] != basin[cof[:, 1]]))
+        joins = joins[np.argsort(ekey[joins])[::-1]]
+        dying, at, left = _merge(len(roots) + 1, basin[cof[joins, 0]], basin[cof[joins, 1]])
+        pair_edges = np.concatenate([lead[pointing], joins[at]])
+        pair_tris = np.concatenate([pointing, roots[dying - 1]])
+        return pair_edges, pair_tris, roots[left[1:] - 1]
+
+    def _triangle_values(self, idx):
+        return simplex_values(self.values, self.complex.triangles[idx])
+
+    def dgm0(self) -> list[tuple[float, float]]:
+        _step, joins, minima, dying, at, roots = self._vertex_pass()
+        births = self.values[minima]
+        points = _diagram_points(births[dying], self._edge_values(joins[at]))
+        points.extend((float(b), np.inf) for b in births[roots])
         return points
 
-    def _negative_edges(self) -> np.ndarray:
-        edges, evals, _ = self.edge_data()
-        out = _uf_merge(self.complex.n_vertices, self.values,
-                        edges[:, 0], edges[:, 1], evals)
-        return out[4]
-
-    def _triangle_reduction(self):
-        """Reduce triangle columns over edge rows (rows = edge order positions)."""
-        edges, _evals, edge_order = self.edge_data()
-        ne = len(edge_order)
-        edge_rank = np.empty(ne, dtype=np.int64)
-        edge_rank[edge_order] = np.arange(ne)
-        rank_of = {}
-        for i, (u, v) in enumerate(self.complex.edges.tolist()):
-            rank_of[(u, v)] = int(edge_rank[i])
-        tris, _tvals, _ = self.tri_data()
-        columns = []
-        for a, b, c in tris.tolist():
-            col = (1 << rank_of[(a, b)]) | (1 << rank_of[(a, c)]) | (1 << rank_of[(b, c)])
-            columns.append(col)
-        pivot_of, zero_cols = _reduce_bit_columns(columns)
-        return pivot_of, zero_cols
-
     def dgm1(self) -> list[tuple[float, float]]:
-        pivot_of, _zero = self._triangle_reduction()
-        _edges, evals, _ = self.edge_data()
-        _tris, tvals, _ = self.tri_data()
-        points = _diagram_points(
-            [evals[p] for p in pivot_of], [tvals[j] for j in pivot_of.values()]
-        )
-        negative = self._negative_edges()
-        essential = ~negative
-        if len(essential):
-            essential[list(pivot_of.keys())] = False
-        points.extend((float(evals[i]), np.inf) for i in np.flatnonzero(essential))
+        step, joins, _minima, _dying, at, _roots = self._vertex_pass()
+        pair_edges, pair_tris, _ = self._dual_pass()
+        points = _diagram_points(self._edge_values(pair_edges), self._triangle_values(pair_tris))
+        # essential: negative in neither pass; the first kind of negative edge
+        # is each non-minimum vertex's descending edge
+        essential = self.lo != step[self.hi]
+        essential[joins[at]] = False
+        essential[pair_edges] = False
+        points.extend((float(b), np.inf) for b in self._edge_values(np.flatnonzero(essential)))
         return points
 
     def dgm2(self) -> list[tuple[float, float]]:
-        _piv, zero_cols = self._triangle_reduction()
-        _tris, tvals, _ = self.tri_data()
-        return [(float(tvals[j]), np.inf) for j in zero_cols]
+        _pe, _pt, roots = self._dual_pass()
+        return [(float(b), np.inf) for b in self._triangle_values(roots)]
 
 
 def lower_star_diagram(complex: SimplicialComplex, values, k: int) -> PersistenceDiagram:
     """Degree-k diagram of the lower-star filtration of ``values`` on ``complex``.
 
     Zero-persistence pairs are dropped; essential classes get death +inf.
+    Degrees 1 and 2 on a complex with an edge in three or more triangles go
+    through :func:`compute_persistence` on the explicit filtration.
     """
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree {k}; supported: {SUPPORTED_DEGREES}")
     values = values.values if hasattr(values, "values") else values
+    if k > 0 and complex.edge_cofaces is None:
+        return compute_persistence(lower_star_filtration(complex, values), k)
     ls = _LowerStar(complex, values)
-    if k == 0:
-        pts = ls.dgm0()
-    elif k == 1:
-        pts = ls.dgm1()
-    else:
-        pts = ls.dgm2()
+    pts = (ls.dgm0, ls.dgm1, ls.dgm2)[k]()
     return PersistenceDiagram.from_pairs(k, pts)
 
 
@@ -333,10 +317,9 @@ class _FiltrationRun:
         vv[self.verts] = [self.vert_value_of[int(v)] for v in self.verts]
         return n, vv
 
-    def uf(self, use_numba=True):
+    def uf(self):
         n, vv = self._vertex_arrays()
-        return _uf_merge(n, vv, self.edges[:, 0], self.edges[:, 1],
-                         self.edge_values, use_numba=use_numba)
+        return _uf_merge(n, vv, self.edges[:, 0], self.edges[:, 1], self.edge_values)
 
     def dgm0_union_find(self) -> list[tuple[float, float]]:
         pb, pd, _pv, _pe, _neg, root_births, _ri = self.uf()

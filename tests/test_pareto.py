@@ -15,6 +15,7 @@ from cmdist import (
     cmd_via_special_values,
     contour_branches,
     cost_derivative,
+    g_value,
     load_contours,
     lower_star_diagram,
     orthogonal_intersections,
@@ -451,6 +452,17 @@ def test_special_value_route_cross_check():
                                     cross_check=True)
     assert result.gap <= 0.05
     assert "cross-checked" in result.note
+
+
+def test_special_value_route_gap_bounds_a_dense_sweep():
+    _, f = get_fixture("sphere", 16)
+    _, h = get_fixture("ellipsoid(2,1)", 16)
+    result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
+                                    analytic_contours("ellipsoid(2,1)"))
+    assert math.isfinite(result.gap) and result.gap >= 0.0
+    assert "Lipschitz" in result.note
+    sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
+    assert sweep <= result.value + result.gap + 1e-12
 
 
 def test_special_value_route_identical_inputs():

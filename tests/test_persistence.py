@@ -77,22 +77,13 @@ def test_union_find_equals_reduction_on_random_filtrations():
         assert diagram_multiset(fast) == diagram_multiset(slow)
 
 
-def test_merge_kernel_fallback_matches_jit(cone64):
-    from cmdist.persistence import _LowerStar
-
-    cx, f = cone64
-    ls_fast = _LowerStar(cx, f.at(0.4))
-    ls_slow = _LowerStar(cx, f.at(0.4))
-    assert sorted(ls_fast.dgm0(use_numba=True)) == sorted(ls_slow.dgm0(use_numba=False))
-
-
 def _full_edge_union_find(cx, values):
     """Degree 0 by the elder-rule union-find over every edge in filtration order."""
     from cmdist.persistence import _LowerStar, _diagram_points, _uf_merge
 
     edges, evals, _ = _LowerStar(cx, values).edge_data()
     pb, pd, _pv, _pe, _neg, root_births, _ri = _uf_merge(
-        cx.n_vertices, values, edges[:, 0], edges[:, 1], evals, use_numba=False)
+        cx.n_vertices, values, edges[:, 0], edges[:, 1], evals)
     points = _diagram_points(pb, pd) + [(float(b), math.inf) for b in root_births]
     return sorted(points)
 
@@ -135,6 +126,94 @@ def test_degree0_basin_kernel_matches_union_find_on_noisy_fixtures(all_fixture_n
                 got = diagram_multiset(lower_star_diagram(cx, values, 0))
                 assert got == _full_edge_union_find(cx, values), (name, t)
                 assert got == _degree0_oracle(cx, values), (name, t)
+
+
+def _assert_dual_route(cx, values, label, oracle=True):
+    """Degrees 1 and 2 must equal the explicit-filtration route and the naive oracle."""
+    filt = lower_star_filtration(cx, VertexFunction(values))
+    expected = naive_diagrams(filt) if oracle else None
+    for k in (1, 2):
+        got = diagram_multiset(lower_star_diagram(cx, values, k))
+        assert got == diagram_multiset(compute_persistence(filt, k)), (label, k)
+        if oracle:
+            assert got == expected[k], (label, k)
+
+
+def _grid_surface(rows, cols, wrap_rows=False, wrap_cols=False, twist=False):
+    """Triangulated rows x cols grid of vertices, opposite sides optionally glued.
+
+    Gluing the columns gives an annulus, or a Moebius strip with ``twist``;
+    gluing rows as well gives a torus.
+    """
+    def vid(i, j):
+        if j == cols:
+            i, j = (rows - 1 - i if twist else i), 0
+        return (i % rows) * cols + j
+
+    triangles = []
+    for i in range(rows if wrap_rows else rows - 1):
+        for j in range(cols if wrap_cols else cols - 1):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            triangles += [(a, b, c), (a, c, d)]
+    return SimplicialComplex.from_triangles(np.zeros((rows * cols, 3)), triangles)
+
+
+def _pinched_disks():
+    """Two square disks sharing one vertex, plus an edge to a vertex of its own."""
+    disk = _grid_surface(3, 3).triangles
+    other = np.where(disk == 0, 8, disk + 8)  # vertex 0 of the second disk is vertex 8
+    return SimplicialComplex.from_triangles(np.zeros((18, 3)), np.vstack([disk, other]),
+                                            [(4, 17)])
+
+
+def test_dual_route_on_small_surfaces():
+    rng = np.random.default_rng(43)
+    surfaces = {
+        "torus": _grid_surface(4, 5, wrap_rows=True, wrap_cols=True),
+        "annulus": _grid_surface(3, 5, wrap_cols=True),
+        "moebius": _grid_surface(3, 5, wrap_cols=True, twist=True),
+        "pinched": _pinched_disks(),
+    }
+    essentials = {"torus": (2, 1), "annulus": (1, 0), "moebius": (1, 0), "pinched": (0, 0)}
+    for name, cx in surfaces.items():
+        assert cx.edge_cofaces is not None, name
+        for trial in range(40):
+            values = rng.normal(size=cx.n_vertices)
+            if trial % 4 == 1:
+                values = np.round(values)  # plateaus
+            elif trial % 4 == 2:
+                values = np.zeros(cx.n_vertices)
+            _assert_dual_route(cx, values, (name, trial))
+            counts = tuple(sum(1 for p in lower_star_diagram(cx, values, k).expanded()
+                               if math.isinf(p[1])) for k in (1, 2))
+            assert counts == essentials[name], (name, trial)
+
+
+def test_dual_route_matches_references_on_fixtures(all_fixture_names):
+    rng = np.random.default_rng(47)
+    for name in all_fixture_names:
+        for resolution in (16, 32):
+            cx, f = get_fixture(name, resolution)
+            for t in (0.0, 0.3, 0.71, 1.0):
+                smooth = f.at(t)
+                noisy = smooth + rng.uniform(-0.1, 0.1, size=len(smooth))
+                for values in (smooth, noisy, np.round(noisy, 2)):
+                    _assert_dual_route(cx, values, (name, resolution, t),
+                                       oracle=resolution == 16)
+
+
+def test_dual_route_and_fallback_on_random_complexes():
+    rng = np.random.default_rng(41)
+    routes = set()
+    for trial in range(120):
+        cx = random_complex(rng)
+        values = random_vertex_values(rng, cx.n_vertices, ties=trial % 3 != 0)
+        if trial % 5 == 0:
+            values = np.round(values)
+        routes.add("no triangles" if len(cx.triangles) == 0
+                   else "dual" if cx.edge_cofaces is not None else "fallback")
+        _assert_dual_route(cx, values, trial)
+    assert routes == {"no triangles", "dual", "fallback"}
 
 
 def test_all_degrees_match_naive_full_reduction():
