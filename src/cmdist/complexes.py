@@ -25,6 +25,12 @@ class MeshError(ValueError):
     """Raised for malformed mesh/values input or broken complex invariants."""
 
 
+def _face_codes(triangles: np.ndarray, n: int) -> np.ndarray:
+    """(nt, 3) edge codes ``a*n + b`` of each sorted triangle's faces (a, b), (a, c), (b, c)."""
+    a, b, c = triangles.T
+    return np.column_stack([a * n + b, a * n + c, b * n + c])
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Triangle mesh: vertex positions plus edge and triangle index arrays.
@@ -53,15 +59,17 @@ class SimplicialComplex:
                 raise MeshError(f"{name} references a vertex index out of range")
             if arr.size and np.any(np.diff(arr, axis=1) == 0):
                 raise MeshError(f"degenerate {name} with a repeated vertex")
-        if edges.size and len(np.unique(edges, axis=0)) != len(edges):
+        codes = np.sort(edges[:, 0] * n + edges[:, 1])
+        if np.any(codes[1:] == codes[:-1]):
             raise MeshError("duplicate edges")
-        if triangles.size and len(np.unique(triangles, axis=0)) != len(triangles):
+        rows = triangles[np.lexsort(triangles.T[::-1])]
+        if np.any((rows[1:] == rows[:-1]).all(axis=1)):
             raise MeshError("duplicate triangles")
-        edge_set = {tuple(e) for e in edges.tolist()}
-        for a, b, c in triangles.tolist():
-            for face in ((a, b), (a, c), (b, c)):
-                if face not in edge_set:
-                    raise MeshError(f"triangle face {face} missing from edge set")
+        faces = _face_codes(triangles, n).ravel()  # in triangle order, then (a, b), (a, c), (b, c)
+        missing = np.flatnonzero(np.append(codes, -1)[np.searchsorted(codes, faces)] != faces)
+        if len(missing):
+            face = divmod(int(faces[missing[0]]), n)
+            raise MeshError(f"triangle face {face} missing from edge set")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "triangles", triangles)
@@ -74,7 +82,9 @@ class SimplicialComplex:
         pieces = [triangles[:, [0, 1]], triangles[:, [0, 2]], triangles[:, [1, 2]]]
         if len(extra_edges):
             pieces.append(np.sort(np.asarray(extra_edges, dtype=np.int64).reshape(-1, 2), axis=1))
-        edges = np.unique(np.vstack(pieces), axis=0) if pieces else np.empty((0, 2), np.int64)
+        edges, n = np.vstack(pieces), len(vertices)
+        if edges.size and edges.min() >= 0 and edges.max() < n:  # out-of-range rows fail validation
+            edges = np.column_stack(np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n))
         return cls(np.asarray(vertices, dtype=np.float64), edges, triangles)
 
     @property
@@ -91,12 +101,10 @@ class SimplicialComplex:
         Computed once per complex and read-only, so evaluations on several
         threads can share it; computing it twice gives the same array.
         """
-        n, edges, tris = len(self.vertices), self.edges, self.triangles
+        n, edges = len(self.vertices), self.edges
         codes = edges[:, 0] * n + edges[:, 1]
         sorter = np.argsort(codes)
-        faces = np.column_stack([tris[:, 0] * n + tris[:, 1], tris[:, 0] * n + tris[:, 2],
-                                 tris[:, 1] * n + tris[:, 2]])
-        out = sorter[np.searchsorted(codes, faces, sorter=sorter)]
+        out = sorter[np.searchsorted(codes, _face_codes(self.triangles, n), sorter=sorter)]
         out.flags.writeable = False
         return out
 

@@ -8,7 +8,8 @@ operations here locate those orthogonal intersections, predict diagram
 coordinates from them, and assemble the finite set of t values where the
 maximizer of the distance curve can sit: endpoint orthogonality,
 equal-cost breakpoints of projected gaps, and osculating-circle
-coincidences.
+coincidences.  That search tabulates every branch as arrays over one
+shared t-grid; scalar routines only polish the roots the tables bracket.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -45,6 +47,12 @@ CONDITIONS = (
 
 class ContourError(ValueError):
     """Raised when contour input violates a named validity requirement."""
+
+
+def _libm(fn, *arrays) -> np.ndarray:
+    """``fn`` per element on Python floats, so that results do not depend on numpy's SIMD
+    ``arctan2`` and ``power``, which can differ from the C library in the last bit."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +94,14 @@ class _ArcGeometry:
                 taus.append(min(1.0, max(0.0, tau)))
         return sorted(set(taus))
 
+    def taus_of_t(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`tau_of_t` for an array of t: column k holds the (k-2)*pi shift, or NaN."""
+        th = _libm(math.atan2, ts * self.ry, (1.0 - ts) * self.rx)[:, None] + np.arange(-2, 3) * math.pi
+        lo, hi = sorted((self.theta0, self.theta1))
+        taus = np.clip((th - self.theta0) / self.dtheta, 0.0, 1.0)
+        taus[(th < lo - 1e-12) | (th > hi + 1e-12)] = np.nan
+        return taus
+
     def translated(self, dx, dy):
         return _ArcGeometry(self.cx + dx, self.cy + dy, self.rx, self.ry, self.theta0, self.theta1)
 
@@ -105,8 +121,6 @@ class _SplineGeometry:
 
     def acceleration(self, tau):
         return self.spline(tau, 2)
-
-    tau_of_t = None
 
     def translated(self, dx, dy):
         shifted = self.spline(self.taus) + np.array([dx, dy])
@@ -265,7 +279,7 @@ def orthogonal_intersections(c: Contour, t: float) -> list[tuple[float, np.ndarr
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
     taus: list[float] = []
-    if c.geometry.tau_of_t is not None:
+    if c.is_analytic:
         taus = c.geometry.tau_of_t(t)
     else:
         grid = np.linspace(0.0, 1.0, 4 * (len(c.samples) - 1) + 1)
@@ -319,55 +333,69 @@ def position_predict(contours, t: float) -> list[float]:
 # Osculating circles
 
 
-def _fd_curvature(geometry, tau: float, h: float, five_point: bool) -> float:
-    p = geometry.point
-    if five_point:
-        d1 = (-p(tau + 2 * h) + 8 * p(tau + h) - 8 * p(tau - h) + p(tau - 2 * h)) / (12 * h)
-        d2 = (-p(tau + 2 * h) + 16 * p(tau + h) - 30 * p(tau) + 16 * p(tau - h)
-              - p(tau - 2 * h)) / (12 * h * h)
-    else:
-        d1 = (p(tau + h) - p(tau - h)) / (2 * h)
-        d2 = (p(tau + h) - 2 * p(tau) + p(tau - h)) / (h * h)
-    speed = float(np.hypot(d1[0], d1[1]))
-    if speed == 0.0:
-        return 0.0
-    return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed ** 3)
+class _Osculation(NamedTuple):
+    """Osculating data at an array of tau, one row per tau."""
+    point: np.ndarray    # (n, 2)
+    tangent: np.ndarray  # (n, 2) unit tangents, NaN where the tangent vanishes
+    kappa: np.ndarray    # signed curvature, 0 where the tangent vanishes
+    center: np.ndarray   # (n, 2), NaN below the curvature floor
+    ell: np.ndarray      # x-signed radius, NaN below the curvature floor
+    fd: tuple | None     # 3-point and 5-point curvature estimates of sampled contours
+    stable: np.ndarray   # tangent nonzero and, on sampled contours, the estimates agree
+
+
+def _curvature(v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Speed and signed curvature from (n, 2) velocities and accelerations."""
+    speed = np.hypot(v[:, 0], v[:, 1])
+    cross = v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]
+    return speed, np.divide(cross, _libm(lambda x: x ** 3, speed), out=np.zeros_like(cross),
+                            where=speed > 0.0)
+
+
+def _osculation(c: Contour, taus: np.ndarray) -> _Osculation:
+    """Osculating circles at every tau, with the stencil stability mask.
+
+    Sampled contours must pass a 3-point vs 5-point stencil consistency
+    check: a divergence above 1e-3 means the sample data is too rough to
+    trust second derivatives there.
+    """
+    v = c.velocity(taus)
+    speed, kappa = _curvature(v, c.acceleration(taus))
+    stable, fd = speed > 0.0, None
+    if not c.is_analytic:
+        h = 1e-4
+        pm2, pm1, p0, pp1, pp2 = np.moveaxis(c.point(taus[:, None] + h * np.arange(-2, 3)), 1, 0)
+        fd = (_curvature((pp1 - pm1) / (2 * h), (pp1 - 2 * p0 + pm1) / (h * h))[1],
+              _curvature((-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12 * h),
+                         (-pp2 + 16 * pp1 - 30 * p0 + 16 * pm1 - pm2) / (12 * h * h))[1])
+        stable &= ~(np.abs(fd[0] - fd[1]) > 1e-3)
+    point = c.point(taus)
+    tangent = np.divide(v, speed[:, None], out=np.full_like(v, np.nan), where=speed[:, None] > 0.0)
+    center = point + np.divide(tangent[:, ::-1] * [-1.0, 1.0], kappa[:, None], out=np.full_like(v, np.nan),
+                               where=np.abs(kappa)[:, None] >= CURVATURE_FLOOR)
+    ell = np.sign(point[:, 0] - center[:, 0]) / np.abs(kappa)
+    return _Osculation(point, tangent, kappa, center, ell, fd, stable)
 
 
 def osculating(c: Contour, tau: float) -> OsculatingData:
     """Osculating-circle data at tau; signed radius undefined below the curvature floor.
 
-    Sampled contours must pass a 3-point vs 5-point stencil consistency
-    check (divergence above 1e-3 means the sample data is too rough to trust
-    second derivatives).
+    Raises where the tangent vanishes or the sampled data is too rough (see :func:`_osculation`).
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau={tau} outside [0, 1]")
-    v = c.velocity(tau)
-    a = c.acceleration(tau)
-    speed = float(np.hypot(v[0], v[1]))
-    if speed == 0.0:
+    o = _osculation(c, np.array([tau], dtype=np.float64))
+    if np.isnan(o.tangent[0, 0]):
         raise ContourError(f"tangent vanishes at tau={tau}")
-    kappa = float((v[0] * a[1] - v[1] * a[0]) / speed ** 3)
-    if not c.is_analytic:
-        h = 1e-4
-        k3 = _fd_curvature(c.geometry, tau, h, five_point=False)
-        k5 = _fd_curvature(c.geometry, tau, h, five_point=True)
-        if abs(k3 - k5) > 1e-3:
-            raise ContourError(
-                f"curvature estimate unstable at tau={tau:.6g} on contour {c.id!r}: "
-                f"3-point {k3:.6g} vs 5-point {k5:.6g}"
-            )
-    point = (float(c.point(tau)[0]), float(c.point(tau)[1]))
-    tangent = (float(v[0] / speed), float(v[1] / speed))
+    if not o.stable[0]:
+        raise ContourError(
+            f"curvature estimate unstable at tau={tau:.6g} on contour {c.id!r}: "
+            f"3-point {o.fd[0][0]:.6g} vs 5-point {o.fd[1][0]:.6g}"
+        )
+    point, tangent, kappa = tuple(o.point[0].tolist()), tuple(o.tangent[0].tolist()), float(o.kappa[0])
     if abs(kappa) < CURVATURE_FLOOR:
         return OsculatingData(point, tangent, None, None, kappa)
-    normal = (-tangent[1], tangent[0])
-    center = (point[0] + normal[0] / kappa, point[1] + normal[1] / kappa)
-    rho = 1.0 / abs(kappa)
-    dx = point[0] - center[0]
-    ell = rho if dx > 0 else (-rho if dx < 0 else 0.0)
-    return OsculatingData(point, tangent, center, ell, kappa)
+    return OsculatingData(point, tangent, tuple(o.center[0].tolist()), float(o.ell[0]), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +430,8 @@ class ContourBranch:
         if t < lo - 1e-12 or t > hi + 1e-12:
             return math.nan
         t = min(max(t, lo), hi)
-        geo = self.contour.geometry
-        if geo.tau_of_t is not None:
-            for tau in geo.tau_of_t(t):
+        if self.contour.is_analytic:
+            for tau in self.contour.geometry.tau_of_t(t):
                 if self.tau_lo - 1e-9 <= tau <= self.tau_hi + 1e-9:
                     return min(max(tau, self.tau_lo), self.tau_hi)
             return math.nan
@@ -417,6 +444,16 @@ class ContourBranch:
         if fa * fb > 0:
             return math.nan
         return float(brentq(f, self.tau_lo, self.tau_hi, xtol=1e-13))
+
+    def taus_at(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`tau_at` for an array of t, in closed form for the whole array on arcs."""
+        if self.kind == "constant" or not self.contour.is_analytic:
+            return np.array([self.tau_at(t) for t in ts.tolist()], dtype=np.float64)
+        lo, hi = self.t_min, self.t_max
+        taus = self.contour.geometry.taus_of_t(np.clip(ts, lo, hi))
+        taus[(taus < self.tau_lo - 1e-9) | (taus > self.tau_hi + 1e-9)] = np.nan
+        taus = np.clip(np.fmin.reduce(taus, axis=1), self.tau_lo, self.tau_hi)
+        return np.where((ts >= lo - 1e-12) & (ts <= hi + 1e-12), taus, np.nan)
 
     def point_at(self, t: float) -> np.ndarray:
         tau = self.tau_at(t)
@@ -449,10 +486,7 @@ def contour_branches(c: Contour) -> list[ContourBranch]:
     if c.is_analytic:
         return [make(0.0, 1.0)]
     grid = np.linspace(0.0, 1.0, 8 * (len(c.samples) - 1) + 1)
-    v = c.velocity(grid)
-    a = c.acceleration(grid)
-    speed = np.linalg.norm(v, axis=-1)
-    kappa = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / speed ** 3
+    kappa = _curvature(c.velocity(grid), c.acceleration(grid))[1]
     small = np.abs(kappa) < CURVATURE_FLOOR
 
     def cross_of(x):
@@ -527,50 +561,43 @@ def _chebyshev_nodes(lo: float, hi: float, n: int = 17) -> list[float]:
 
 
 def _scan_roots(fn, ts: np.ndarray, values: np.ndarray):
-    """Brackets of sign changes of sampled values, polished with brentq."""
-    roots = []
-    for i in range(len(ts) - 1):
-        a, b = values[i], values[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            roots.append(float(ts[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(fn, float(ts[i]), float(ts[i + 1]), xtol=1e-12)))
+    """Brackets where a sample is 0 or changes sign to the next, both not NaN, polished with brentq."""
+    a, b = values[:-1], values[1:]
+    brackets = np.flatnonzero(~(np.isnan(a) | np.isnan(b)) & ((a == 0.0) | (a * b < 0)))
+    roots = [float(ts[i]) if a[i] == 0.0
+             else float(brentq(fn, float(ts[i]), float(ts[i + 1]), xtol=1e-12)) for i in brackets]
     if len(values) and values[-1] == 0.0:
         roots.append(float(ts[-1]))
     return roots
 
 
 class _BranchTables:
-    """Sampled hit data for every monotone branch on one shared t-grid.
+    """Hit data for every monotone branch, as arrays over one shared t-grid.
 
-    Each branch is evaluated once; all pairwise condition scans then work on
-    masked array arithmetic.  Osculating lookups record instability instead
-    of raising, so rough sample data degrades to warnings.
+    Orthogonal hits, their points and projections, and osculating data are
+    computed for the whole grid at once; the pairwise condition scans work
+    on masked array arithmetic, and the scalar routines only polish the
+    roots those scans bracket.  Unstable osculating data stays NaN and flags
+    its branch instead of raising, so rough sample data degrades to warnings.
     """
 
     def __init__(self, branches: list[ContourBranch], grid_size: int):
         self.branches = branches
         self.ts = np.linspace(0.0, 1.0, grid_size)
-        self.w = []
-        self.px = []
-        self.py = []
+        self.tau, self.w, self.px, self.py = [], [], [], []
         self._osc: dict[int, tuple] = {}
         self.unstable = [False] * len(branches)
         for b in branches:
             margin = 1e-9 + 1e-6 * (b.t_max - b.t_min)
-            w = np.full(grid_size, np.nan)
-            px = np.full(grid_size, np.nan)
-            py = np.full(grid_size, np.nan)
             inside = (self.ts >= b.t_min + margin) & (self.ts <= b.t_max - margin)
-            for idx in np.flatnonzero(inside):
-                p = b.point_at(float(self.ts[idx]))
-                px[idx], py[idx] = p
-                w[idx] = p[0] * (1 - self.ts[idx]) + p[1] * self.ts[idx]
-            self.w.append(w)
-            self.px.append(px)
-            self.py.append(py)
+            tau = np.where(inside, b.taus_at(self.ts), np.nan)
+            hit = ~np.isnan(tau)
+            p = np.full((grid_size, 2), np.nan)
+            p[hit] = b.contour.point(tau[hit])
+            self.tau.append(tau)
+            self.px.append(p[:, 0])
+            self.py.append(p[:, 1])
+            self.w.append(p[:, 0] * (1 - self.ts) + p[:, 1] * self.ts)
 
     def overlap(self, *indices) -> tuple[float, float]:
         lo = max(self.branches[i].t_min for i in indices)
@@ -587,17 +614,12 @@ class _BranchTables:
     def osc(self, i: int):
         """(signed radius, center x, center y) tables for branch i."""
         if i not in self._osc:
-            n = len(self.ts)
-            ell = np.full(n, np.nan)
-            cx = np.full(n, np.nan)
-            cy = np.full(n, np.nan)
-            for idx in np.flatnonzero(~np.isnan(self.w[i])):
-                data = self.osc_at(i, float(self.ts[idx]))
-                if data is None or data.signed_radius is None:
-                    continue
-                ell[idx] = data.signed_radius
-                cx[idx], cy[idx] = data.center
-            self._osc[i] = (ell, cx, cy)
+            hit = ~np.isnan(self.tau[i])
+            o = _osculation(self.branches[i].contour, self.tau[i][hit])
+            self.unstable[i] |= not o.stable.all()
+            table = np.full((len(self.ts), 3), np.nan)
+            table[hit] = np.where(o.stable[:, None], np.column_stack([o.ell, o.center]), np.nan)
+            self._osc[i] = (table[:, 0], table[:, 1], table[:, 2])
         return self._osc[i]
 
     def coincident(self, i: int, j: int) -> bool:
@@ -861,7 +883,8 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     the evaluated ``t``: between consecutive ``t_i < t_{i+1}`` no value of g
     exceeds ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2``, and the ends of
     [0, 1] add ``g_0 + L*t_0`` and ``g_m + L*(1 - t_m)``.  With it, the gap
-    is the disagreement against branch-and-bound.
+    is the proven branch-and-bound bound ``value + gap`` of
+    :func:`cmd_maximize` minus the best special value, floored at 0.
     """
     specials = special_values(contours_f, contours_h)
     ts: list[float] = []
@@ -881,8 +904,10 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
             best, best_t = g, t
     if cross_check:
         reference = cmd_maximize(f, h, k, eps)
-        gap = abs(best - reference.value) if math.isfinite(best) and math.isfinite(reference.value) else 0.0
-        note = f"cross-checked against branch-and-bound (eps={eps:g})"
+        finite = math.isfinite(best) and math.isfinite(reference.value)
+        gap = max(reference.value + reference.gap - best, 0.0) if finite else 0.0
+        note = (f"cross-checked against branch-and-bound (eps={eps:g}); gap is its proven "
+                "bound minus the best special value")
     else:
         L = lipschitz_constant(f, h)
         (t0, g0), (tm, gm) = trace[0], trace[-1]

@@ -112,6 +112,83 @@ def test_complex_invariants_enforced():
         SimplicialComplex(verts, np.array([[1, 1]]), np.empty((0, 3), np.int64))
 
 
+def test_duplicates_are_found_after_sorting_rows():
+    verts = np.zeros((4, 3))
+    edges = np.array([[0, 1], [1, 2], [0, 2], [2, 3], [1, 3]])
+    with pytest.raises(MeshError, match="duplicate triangles"):
+        SimplicialComplex(verts, edges, np.array([[0, 1, 2], [1, 2, 3], [2, 0, 1]]))
+    with pytest.raises(MeshError, match="duplicate edges"):
+        SimplicialComplex(verts, np.vstack([edges, [[3, 2]]]), np.empty((0, 3), np.int64))
+
+
+def test_first_missing_face_is_named():
+    verts = np.zeros((6, 3))
+    # faces go missing in both triangles; the first triangle in array order is
+    # named, at its first missing face in the order (a, b), (a, c), (b, c)
+    edges = np.array([[3, 4], [0, 1]])
+    with pytest.raises(MeshError, match=r"triangle face \(3, 5\) missing"):
+        SimplicialComplex(verts, edges, np.array([[5, 4, 3], [0, 1, 2]]))
+    with pytest.raises(MeshError, match=r"triangle face \(0, 2\) missing"):
+        SimplicialComplex(verts, np.vstack([edges, [[3, 5], [4, 5]]]), np.array([[5, 4, 3], [0, 1, 2]]))
+
+
+def _reference_validation_error(n, edges, triangles):
+    """The first broken invariant, found with tuples and a set, or None."""
+    edges = [tuple(sorted(e)) for e in edges]
+    triangles = [tuple(sorted(t)) for t in triangles]
+    for name, rows in (("edge", edges), ("triangle", triangles)):
+        if any(i < 0 or i >= n for row in rows for i in row):
+            return f"{name} references a vertex index out of range"
+        if any(len(set(row)) < len(row) for row in rows):
+            return f"degenerate {name} with a repeated vertex"
+    if len(set(edges)) != len(edges):
+        return "duplicate edges"
+    if len(set(triangles)) != len(triangles):
+        return "duplicate triangles"
+    edge_set = set(edges)
+    for a, b, c in triangles:
+        for face in ((a, b), (a, c), (b, c)):
+            if face not in edge_set:
+                return f"triangle face {face} missing from edge set"
+    return None
+
+
+def test_validation_matches_a_set_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        n = int(rng.integers(3, 10))
+        triangles = np.array([rng.permutation(n)[:3] for _ in range(int(rng.integers(0, 6)))]).reshape(-1, 3)
+        edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]],
+                           rng.integers(0, n, size=(int(rng.integers(0, 4)), 2))])
+        if rng.random() < 0.7:
+            edges = np.unique(np.sort(edges, axis=1), axis=0)
+        edges = edges[rng.random(len(edges)) < 0.9]
+        if rng.random() < 0.3 and len(triangles):
+            triangles = np.vstack([triangles, triangles[-1:, ::-1]])
+        expected = _reference_validation_error(n, edges.tolist(), triangles.tolist())
+        try:
+            SimplicialComplex(np.zeros((n, 3)), edges, triangles)
+            got = None
+        except MeshError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_vertex_indices_above_two_to_the_21():
+    # with n = 2**22 vertices the codes a*n*n + b*n + c of these two triangles
+    # differ by 2**20 * n * n = 2**64, so int64 codes of whole triangles would collide
+    n = 2 ** 22
+    verts = np.zeros((n, 3))  # zero pages: the validation reads them without committing memory
+    tris = np.array([[1, n - 2, n - 1], [1 + 2 ** 20, n - 2, n - 1]])
+    cx = SimplicialComplex.from_triangles(verts, tris)
+    assert len(cx.triangles) == 2 and len(cx.edges) == 5
+    assert np.array_equal(cx.edges[cx.triangle_edges[:, 0]], tris[:, :2])
+    with pytest.raises(MeshError, match="duplicate triangles"):
+        SimplicialComplex(verts, cx.edges, tris[[0, 1, 0]])
+    with pytest.raises(MeshError, match=rf"triangle face \(1, {n - 1}\) missing"):
+        SimplicialComplex(verts, np.delete(cx.edges, 1, axis=0), tris)
+
+
 def test_bifunction_requires_matching_lengths():
     cx = random_complex(np.random.default_rng(0))
     good = VertexFunction(np.zeros(cx.n_vertices))

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from cmdist import (
     Contour,
+    ContourBranch,
     ContourError,
     analytic_contours,
     arc_contour,
@@ -26,7 +27,10 @@ from cmdist import (
     t_of_orthogonality,
 )
 
+from cmdist.pareto import _BranchTables, _scan_roots
+
 from conftest import get_fixture
+from test_acceptance import _branch_pool
 
 Q3 = (math.pi, 1.5 * math.pi)
 Q1 = (0.0, math.pi / 2)
@@ -403,6 +407,86 @@ def test_cost_derivative_requires_defined_radius(sphere_contours):
         cost_derivative(seg_branch, arc_branch, 0.5)
 
 
+# --- branch tables against the scalar routines ------------------------------------
+
+
+def _table_cases(tmp_path):
+    sph, ell = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
+    save_contours(tmp_path / "spline.json", sph + ell)
+    theta = np.linspace(math.pi, 1.5 * math.pi, 33)
+    bumpy = np.column_stack([np.cos(theta), np.sin(theta)])
+    bumpy[16] *= 1.0 + 1e-3  # as in test_unstable_curvature_degrades_to_warnings
+    yield "arcs", [b for c in sph + ell for b in contour_branches(c)]
+    # a parameter window narrower than the t-range leaves hits outside the window unmatched
+    yield "sub-arc", [ContourBranch(ell[0], 0.25, 0.75, "monotone", 0.0, 1.0)]
+    yield "acceptance pool", _branch_pool()
+    yield "spline", [b for c in load_contours(tmp_path / "spline.json") for b in contour_branches(c)]
+    yield "bumpy", contour_branches(Contour(bumpy, "bumpy", "test"))
+
+
+def test_branch_tables_match_the_scalar_routines(tmp_path):
+    for name, branches in _table_cases(tmp_path):
+        mono = [b for b in branches if b.kind == "monotone"]
+        tables = _BranchTables(mono, 257)
+        for i, b in enumerate(mono):
+            ell, cx, cy = tables.osc(i)
+            margin = 1e-9 + 1e-6 * (b.t_max - b.t_min)
+            raised = False
+            for idx, t in enumerate(tables.ts.tolist()):
+                p = b.point_at(t)
+                if np.isnan(tables.w[i][idx]):
+                    # the scalar may only hit where the grid leaves a margin at the branch ends
+                    assert np.isnan(p).all() or not b.t_min + margin <= t <= b.t_max - margin, (name, i, t)
+                    continue
+                assert (tables.px[i][idx], tables.py[i][idx]) == (p[0], p[1]), (name, i, t)
+                assert tables.w[i][idx] == b.w_at(t), (name, i, t)
+                try:
+                    osc = b.osculating_at(t)
+                except ContourError:
+                    raised = True
+                    osc = None
+                if osc is None or osc.signed_radius is None:
+                    assert np.isnan([ell[idx], cx[idx], cy[idx]]).all(), (name, i, t)
+                else:
+                    assert (ell[idx], cx[idx], cy[idx]) == (osc.signed_radius, *osc.center), (name, i, t)
+            assert tables.unstable[i] == raised, (name, i)
+    assert any(tables.unstable)  # the bumpy contour, last, exercises the stability mask
+
+
+def _scan_roots_loop(fn, ts, values):
+    roots = []
+    for i in range(len(ts) - 1):
+        a, b = values[i], values[i + 1]
+        if math.isnan(a) or math.isnan(b):
+            continue
+        if a == 0.0:
+            roots.append(float(ts[i]))
+        elif a * b < 0:
+            roots.append(float(brentq(fn, float(ts[i]), float(ts[i + 1]), xtol=1e-12)))
+    if len(values) and values[-1] == 0.0:
+        roots.append(float(ts[-1]))
+    return roots
+
+
+def test_scan_roots_brackets():
+    ts = np.linspace(0.0, 1.0, 11)
+    fn = lambda t: (t - 0.45) * (t - 0.95)
+    values = np.array([1.0, 0.0, -1.0, np.nan, -1.0, 1.0, np.nan, 0.0, np.nan, -1.0, 1.0])
+    roots = _scan_roots(fn, ts, values)
+    # a zero before a NaN sample (index 7) brackets nothing; a zero followed by a number is a root
+    assert roots[0] == ts[1] and len(roots) == 3
+    assert abs(roots[1] - 0.45) < 1e-11 and abs(roots[2] - 0.95) < 1e-11
+    assert _scan_roots(fn, ts[:3], np.array([-1.0, -1.0, 0.0])) == [1.0 * ts[2]]
+    assert _scan_roots(fn, ts[:1], np.array([np.nan])) == []
+    assert _scan_roots(fn, ts[:0], np.array([])) == []
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        values = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0, np.nan], size=int(rng.integers(0, 12)))
+        grid = np.linspace(0.0, 1.0, len(values))
+        interp = lambda t: float(np.interp(t, grid, values))
+        assert _scan_roots(interp, grid, values) == _scan_roots_loop(interp, grid, values)
+
+
 # --- special-value route for the distance ---------------------------------------------
 
 
@@ -461,6 +545,18 @@ def test_special_value_route_gap_bounds_a_dense_sweep():
                                     analytic_contours("ellipsoid(2,1)"))
     assert math.isfinite(result.gap) and result.gap >= 0.0
     assert "Lipschitz" in result.note
+    sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
+    assert sweep <= result.value + result.gap + 1e-12
+
+
+def test_special_value_route_cross_check_gap_is_proven():
+    _, f = get_fixture("sphere", 16)
+    _, h = get_fixture("ellipsoid(2,1)", 16)
+    result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
+                                    analytic_contours("ellipsoid(2,1)"), eps=0.05, cross_check=True)
+    reference = cmd_maximize(f, h, 0, 0.05)
+    assert result.gap == max(reference.value + reference.gap - result.value, 0.0)
+    assert result.gap > 0.0
     sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
     assert sweep <= result.value + result.gap + 1e-12
 
