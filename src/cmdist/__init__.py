@@ -36,7 +36,6 @@ from .diagram import (
     DIAGONAL,
     DiagramPoint,
     PersistenceDiagram,
-    bottleneck_bruteforce,
     bottleneck_distance,
     candidate_costs,
     point_distance,

@@ -29,8 +29,9 @@ class CmdResult:
 
     ``value`` is the best evaluated g, attained at ``argmax_t``; the true
     maximum is certified to be at most ``value + gap`` (for mode
-    ``special-values`` with cross-checking, the gap is instead the
-    disagreement with branch-and-bound, flagged in ``note``).
+    ``special-values`` with cross-checking, the gap is the branch-and-bound
+    bound ``reference.value + reference.gap`` minus ``value``, floored at 0
+    and flagged in ``note``).
     """
 
     value: float

@@ -230,42 +230,3 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         return INF
     inf_cost = max((abs(a[0] - b[0]) for a, b in zip(i1, i2)), default=0.0)
     return max(inf_cost, _realized_bottleneck(f1, f2))
-
-
-def bottleneck_bruteforce(d1: PersistenceDiagram, d2: PersistenceDiagram, limit: int = 12) -> float:
-    """Exact bottleneck by enumerating every multiset bijection (small inputs only).
-
-    Unmatched points pair with the diagonal.  Serves as the independent
-    oracle for :func:`bottleneck_distance`.
-    """
-    if d1.degree != d2.degree:
-        raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
-    p1 = d1.expanded()
-    p2 = d2.expanded()
-    if len(p1) + len(p2) > limit:
-        raise ValueError(f"brute force limited to {limit} points, got {len(p1) + len(p2)}")
-
-    best = INF
-    n2 = len(p2)
-
-    def recurse(i: int, used: int, current: float):
-        nonlocal best
-        if current >= best:
-            return
-        if i == len(p1):
-            total = current
-            for j in range(n2):
-                if not used >> j & 1:
-                    total = max(total, _diagonal_cost(p2[j]))
-                    if total >= best:
-                        return
-            best = total
-            return
-        point = p1[i]
-        for j in range(n2):
-            if not used >> j & 1:
-                recurse(i + 1, used | 1 << j, max(current, _pair_cost(point, p2[j])))
-        recurse(i + 1, used, max(current, _diagonal_cost(point)))
-
-    recurse(0, 0, 0.0)
-    return best

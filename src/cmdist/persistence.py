@@ -18,21 +18,27 @@ the union-find runs over the other edges that join two dual basins.  The
 finite degree-1 points are the dual merges, the degree-1 essentials the
 edges negative in neither pass, and the degree-2 essentials the dual roots
 other than the ground node.  This needs every edge in at most two
-triangles; other complexes go through the explicit filtration.
+triangles; on other complexes the triangle boundary columns, in key order,
+are reduced over the two-element field instead, with the same forward pass
+for the negative edges.
 
-An explicit :class:`Filtration` runs the union-find over all its ordered
-edges and reduces the triangle boundary columns over the two-element field,
-with columns packed into Python integers so the XOR of two columns is a
+An explicit :class:`Filtration` is converted once into index arrays: vertices
+numbered by filtration position, edges as pairs of vertex ordinals, and
+triangles as triples of edge ordinals.  Degree 0 is the elder-rule
+union-find over its edges in filtration order, so vertices of equal value
+age by position, and degrees 1 and 2 are the same column reduction.
+Columns are packed into Python integers, so the XOR of two columns is a
 single big-int operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .complexes import Filtration, MeshError, SimplicialComplex, lower_star_filtration, simplex_values
+from .complexes import Filtration, MeshError, SimplicialComplex, _face_codes, simplex_values
 from .diagram import PersistenceDiagram
 
 SUPPORTED_DEGREES = (0, 1, 2)
@@ -74,25 +80,6 @@ def _merge(n_nodes, edge_u, edge_v):
             np.asarray(roots, dtype=np.int64))
 
 
-def _uf_merge(n_vertices, vertex_values, edge_u, edge_v, edge_val):
-    """Union-find over every edge of an explicit order; ties in birth go by vertex index.
-
-    Returns per merge the dying birth value, death value, vertex and edge
-    position, the negative-edge mask, and the births and ids of the roots.
-    """
-    values = np.asarray(vertex_values, dtype=np.float64)
-    order = np.lexsort((np.arange(n_vertices), values))
-    rank = np.empty(n_vertices, dtype=np.int64)
-    rank[order] = np.arange(n_vertices)
-    dying, at, roots = _merge(n_vertices, rank[np.asarray(edge_u, dtype=np.int64)],
-                              rank[np.asarray(edge_v, dtype=np.int64)])
-    negative = np.zeros(len(edge_u), dtype=np.bool_)
-    negative[at] = True
-    dying, roots = order[dying], order[roots]
-    return (values[dying], np.asarray(edge_val, dtype=np.float64)[at], dying, at, negative,
-            values[roots], roots)
-
-
 def _descend(step):
     """Pointer jumping: follow ``step`` from every node to a fixed point."""
     while True:
@@ -102,26 +89,31 @@ def _descend(step):
         step = nxt
 
 
-def _reduce_bit_columns(columns: list[int]):
-    """Left-to-right column reduction over GF(2) on bit-packed columns.
+def _reduce_bit_columns(faces: np.ndarray):
+    """Left-to-right column reduction over GF(2) of triangle boundary columns.
 
-    Returns (pivot row -> column index) and the list of zero columns.
+    Row ``j`` of ``faces`` holds the rows (edge positions) of column ``j``'s
+    three faces, columns in filtration order; each column is packed into the
+    bits of a Python integer.  Returns the pivot rows, the columns they pair
+    with, and the zero columns.
     """
-    pivot_of: dict[int, int] = {}
     cols_by_pivot: dict[int, int] = {}
-    zero_cols: list[int] = []
-    for j, col in enumerate(columns):
+    pivots, paired, zero = [], [], []
+    for j, (a, b, c) in enumerate(faces.tolist()):
+        col = (1 << a) | (1 << b) | (1 << c)
         while col:
             piv = col.bit_length() - 1
             other = cols_by_pivot.get(piv)
             if other is None:
-                pivot_of[piv] = j
                 cols_by_pivot[piv] = col
+                pivots.append(piv)
+                paired.append(j)
                 break
             col ^= other
         else:
-            zero_cols.append(j)
-    return pivot_of, zero_cols
+            zero.append(j)
+    return (np.asarray(pivots, dtype=np.int64), np.asarray(paired, dtype=np.int64),
+            np.asarray(zero, dtype=np.int64))
 
 
 def _diagram_points(births, deaths) -> list[tuple[float, float]]:
@@ -135,8 +127,7 @@ class _LowerStar:
     """Lower-star persistence of one (complex, values) pair, degree by degree.
 
     Simplices are ordered by the key (r_max, r_mid, r_min) of their vertex
-    ranks, faces first.  Degrees 1 and 2 assume every edge lies in at most
-    two triangles.
+    ranks, faces first.
     """
 
     def __init__(self, complex: SimplicialComplex, values: np.ndarray):
@@ -151,13 +142,6 @@ class _LowerStar:
         ranked = self.rank[complex.edges]
         self.lo = np.minimum(ranked[:, 0], ranked[:, 1])
         self.hi = np.maximum(ranked[:, 0], ranked[:, 1])
-
-    def edge_data(self):
-        """Edges in the order of :func:`lower_star_filtration`, their values and positions."""
-        edges = self.complex.edges
-        evals = simplex_values(self.values, edges)
-        order = np.lexsort((edges[:, 0], edges[:, 1], evals))
-        return edges[order], evals[order], order
 
     def _edge_values(self, idx):
         return self.values[self.order[self.hi[idx]]]
@@ -235,6 +219,26 @@ class _LowerStar:
         pair_tris = np.concatenate([pointing, roots[dying - 1]])
         return pair_edges, pair_tris, roots[left[1:] - 1]
 
+    def _reduction_pass(self):
+        """Degrees 1-2 on any complex: the triangle columns reduced in key order.
+
+        Rows are the edges in key order.  Returns the (edge, triangle) pairs
+        and the triangles whose columns reduce to zero.
+        """
+        cx, n = self.complex, len(self.values)
+        edge_at = np.argsort(self.hi * n + self.lo)
+        row = np.empty_like(edge_at)
+        row[edge_at] = np.arange(len(edge_at))
+        rt = np.sort(self.rank[cx.triangles], axis=1)
+        tri_at = np.lexsort((rt[:, 0], rt[:, 1], rt[:, 2]))
+        pivots, paired, zero = _reduce_bit_columns(row[cx.triangle_edges[tri_at]])
+        return edge_at[pivots], tri_at[paired], tri_at[zero]
+
+    def _triangle_pass(self):
+        if self.complex.edge_cofaces is None:  # an edge in three or more triangles
+            return self._reduction_pass()
+        return self._dual_pass()
+
     def _triangle_values(self, idx):
         return simplex_values(self.values, self.complex.triangles[idx])
 
@@ -247,7 +251,7 @@ class _LowerStar:
 
     def dgm1(self) -> list[tuple[float, float]]:
         step, joins, _minima, _dying, at, _roots = self._vertex_pass()
-        pair_edges, pair_tris, _ = self._dual_pass()
+        pair_edges, pair_tris, _ = self._triangle_pass()
         points = _diagram_points(self._edge_values(pair_edges), self._triangle_values(pair_tris))
         # essential: negative in neither pass; the first kind of negative edge
         # is each non-minimum vertex's descending edge
@@ -258,7 +262,7 @@ class _LowerStar:
         return points
 
     def dgm2(self) -> list[tuple[float, float]]:
-        _pe, _pt, roots = self._dual_pass()
+        _pe, _pt, roots = self._triangle_pass()
         return [(float(b), np.inf) for b in self._triangle_values(roots)]
 
 
@@ -266,161 +270,78 @@ def lower_star_diagram(complex: SimplicialComplex, values, k: int) -> Persistenc
     """Degree-k diagram of the lower-star filtration of ``values`` on ``complex``.
 
     Zero-persistence pairs are dropped; essential classes get death +inf.
-    Degrees 1 and 2 on a complex with an edge in three or more triangles go
-    through :func:`compute_persistence` on the explicit filtration.
+    Degrees 1 and 2 run the dual pass when every edge lies in at most two
+    triangles, and otherwise reduce the triangle columns in key order.
     """
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree {k}; supported: {SUPPORTED_DEGREES}")
     values = values.values if hasattr(values, "values") else values
-    if k > 0 and complex.edge_cofaces is None:
-        return compute_persistence(lower_star_filtration(complex, values), k)
     ls = _LowerStar(complex, values)
     pts = (ls.dgm0, ls.dgm1, ls.dgm2)[k]()
     return PersistenceDiagram.from_pairs(k, pts)
 
 
-def _split_filtration(filtration: Filtration):
-    """Vertices/edges/triangles of a filtration in filtration order."""
-    verts, edges, tris = [], [], []
-    vert_pos, edge_pos, tri_pos = [], [], []
-    for i, s in enumerate(filtration.simplices):
-        if len(s) == 1:
-            verts.append(s[0]); vert_pos.append(i)
-        elif len(s) == 2:
-            edges.append(s); edge_pos.append(i)
-        elif len(s) == 3:
-            tris.append(s); tri_pos.append(i)
-        else:
-            raise ValueError("filtrations of dimension > 2 are not supported")
-    return (np.asarray(verts, dtype=np.int64), np.asarray(vert_pos, dtype=np.int64),
-            np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.asarray(edge_pos, dtype=np.int64),
-            np.asarray(tris, dtype=np.int64).reshape(-1, 3), np.asarray(tri_pos, dtype=np.int64))
+def _index_arrays(filtration: Filtration):
+    """A filtration as index arrays, ordinals counting in filtration order.
 
-
-class _FiltrationRun:
-    """Union-find plus triangle reduction over an explicit filtration order."""
-
-    def __init__(self, filtration: Filtration):
-        self.filtration = filtration
-        (self.verts, self.vert_pos, self.edges, self.edge_pos,
-         self.tris, self.tri_pos) = _split_filtration(filtration)
-        values = filtration.values
-        # vertex id -> its filtration value / position
-        self.vert_value_of = {int(v): float(values[p]) for v, p in zip(self.verts, self.vert_pos)}
-        self.vert_pos_of = {int(v): int(p) for v, p in zip(self.verts, self.vert_pos)}
-        self.edge_values = values[self.edge_pos]
-        self.tri_values = values[self.tri_pos]
-
-    def _vertex_arrays(self):
-        n = int(self.verts.max()) + 1 if len(self.verts) else 0
-        vv = np.full(n, np.inf)
-        vv[self.verts] = [self.vert_value_of[int(v)] for v in self.verts]
-        return n, vv
-
-    def uf(self):
-        n, vv = self._vertex_arrays()
-        return _uf_merge(n, vv, self.edges[:, 0], self.edges[:, 1], self.edge_values)
-
-    def dgm0_union_find(self) -> list[tuple[float, float]]:
-        pb, pd, _pv, _pe, _neg, root_births, _ri = self.uf()
-        points = _diagram_points(pb, pd)
-        points.extend((float(b), np.inf) for b in root_births if np.isfinite(b))
-        return points
-
-    def _edge_columns(self):
-        rank_of_vertex = {int(v): r for r, v in enumerate(self.verts)}
-        cols = []
-        for (u, v) in self.edges.tolist():
-            cols.append((1 << rank_of_vertex[u]) | (1 << rank_of_vertex[v]))
-        return cols, rank_of_vertex
-
-    def dgm0_reduction(self) -> list[tuple[float, float]]:
-        """Degree-0 diagram by straight column reduction, no union-find."""
-        cols, _rank = self._edge_columns()
-        pivot_of, _zero = _reduce_bit_columns(cols)
-        vert_vals_sorted = np.asarray([self.vert_value_of[int(v)] for v in self.verts])
-        points = _diagram_points(
-            [vert_vals_sorted[p] for p in pivot_of],
-            [self.edge_values[j] for j in pivot_of.values()],
-        )
-        essential = np.ones(len(self.verts), dtype=bool)
-        essential[list(pivot_of.keys())] = False
-        points.extend((float(vert_vals_sorted[i]), np.inf) for i in np.flatnonzero(essential))
-        return points
-
-    def _triangle_reduction(self):
-        edge_rank = {tuple(e): r for r, e in enumerate(self.edges.tolist())}
-        cols = []
-        for (a, b, c) in self.tris.tolist():
-            cols.append((1 << edge_rank[(a, b)]) | (1 << edge_rank[(a, c)]) | (1 << edge_rank[(b, c)]))
-        return _reduce_bit_columns(cols)
-
-    def dgm1(self) -> list[tuple[float, float]]:
-        pivot_of, _zero = self._triangle_reduction()
-        points = _diagram_points(
-            [self.edge_values[p] for p in pivot_of],
-            [self.tri_values[j] for j in pivot_of.values()],
-        )
-        negative = self.uf()[4]
-        essential = ~negative
-        essential[list(pivot_of.keys())] = False
-        points.extend((float(self.edge_values[i]), np.inf) for i in np.flatnonzero(essential))
-        return points
-
-    def dgm2(self) -> list[tuple[float, float]]:
-        _piv, zero_cols = self._triangle_reduction()
-        return [(float(self.tri_values[j]), np.inf) for j in zero_cols]
-
-
-def compute_persistence(filtration: Filtration, k: int, method: str = "auto") -> PersistenceDiagram:
-    """Degree-k diagram of a filtration.
-
-    ``method`` selects the degree-0 algorithm: ``"union-find"`` (default via
-    ``"auto"``) or ``"reduction"`` for the boundary-matrix route; the two are
-    required to produce identical diagrams.  Degrees 1 and 2 always reduce
-    the triangle columns.
+    Returns the positions of the vertices, edges and triangles, the edges as
+    sorted pairs of vertex ordinals, and each triangle's faces (a, b), (a, c),
+    (b, c) as edge ordinals.
     """
+    simplices = filtration.simplices
+    size = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
+    if np.any((size < 1) | (size > 3)):
+        raise ValueError("filtrations of dimension > 2 are not supported")
+    flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64, count=int(size.sum()))
+    start = np.cumsum(size) - size
+    vpos, epos, tpos = (np.flatnonzero(size == d) for d in (1, 2, 3))
+    ids = flat[start[vpos]]
+    by_id = np.argsort(ids)
+
+    def ordinals(pos, width):
+        rows = flat[start[pos, None] + np.arange(width)]
+        return np.sort(by_id[np.searchsorted(ids, rows, sorter=by_id)], axis=1)
+
+    nv, edges = len(vpos), ordinals(epos, 2)
+    codes = edges[:, 0] * nv + edges[:, 1]
+    by_code = np.argsort(codes)
+    faces = by_code[np.searchsorted(codes, _face_codes(ordinals(tpos, 3), nv), sorter=by_code)]
+    return vpos, epos, tpos, edges, faces
+
+
+def _filtration_pairs(filtration: Filtration, degrees) -> dict:
+    """Degree -> (birth positions, death positions, essential positions)."""
+    vpos, epos, tpos, edges, faces = _index_arrays(filtration)
+    out = {}
+    if 0 in degrees or 1 in degrees:
+        dying, at, roots = _merge(len(vpos), edges[:, 0], edges[:, 1])
+        out[0] = vpos[dying], epos[at], vpos[roots]
+    if 1 in degrees or 2 in degrees:
+        pivots, paired, zero = _reduce_bit_columns(faces)
+        out[2] = tpos[:0], tpos[:0], tpos[zero]
+    if 1 in degrees:
+        negative = np.zeros(len(epos), dtype=bool)
+        negative[at] = negative[pivots] = True
+        out[1] = epos[pivots], tpos[paired], epos[~negative]
+    return out
+
+
+def compute_persistence(filtration: Filtration, k: int) -> PersistenceDiagram:
+    """Degree-k diagram of a filtration; zero-persistence pairs are dropped."""
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree {k}; supported: {SUPPORTED_DEGREES}")
-    if method not in ("auto", "union-find", "reduction"):
-        raise ValueError(f"unknown method {method!r}")
-    run = _FiltrationRun(filtration)
-    if k == 0:
-        if method == "reduction":
-            pts = run.dgm0_reduction()
-        else:
-            pts = run.dgm0_union_find()
-    elif k == 1:
-        pts = run.dgm1()
-    else:
-        pts = run.dgm2()
+    births, deaths, essentials = _filtration_pairs(filtration, (k,))[k]
+    values = filtration.values
+    pts = _diagram_points(values[births], values[deaths])
+    pts.extend((float(b), np.inf) for b in values[essentials])
     return PersistenceDiagram.from_pairs(k, pts)
 
 
 def compute_pairing(filtration: Filtration) -> PersistencePairing:
     """Full simplex pairing of a filtration across degrees 0-2."""
-    run = _FiltrationRun(filtration)
     pairs: list[tuple[int, int]] = []
     essentials: list[tuple[int, int]] = []
-
-    pb, pd, pvert, pedge, negative, root_births, root_idx = run.uf()
-    for v, e in zip(pvert, pedge):
-        pairs.append((run.vert_pos_of[int(v)], int(run.edge_pos[int(e)])))
-    for v in root_idx:
-        if int(v) in run.vert_pos_of:  # padding ids from sparse vertex numbering
-            essentials.append((run.vert_pos_of[int(v)], 0))
-
-    pivot_of, zero_cols = run._triangle_reduction()
-    for piv, j in pivot_of.items():
-        pairs.append((int(run.edge_pos[piv]), int(run.tri_pos[j])))
-    essential_edges = ~negative
-    if len(essential_edges):
-        essential_edges[list(pivot_of.keys())] = False
-    for i in np.flatnonzero(essential_edges):
-        essentials.append((int(run.edge_pos[i]), 1))
-    for j in zero_cols:
-        essentials.append((int(run.tri_pos[j]), 2))
-
-    pairs.sort()
-    essentials.sort()
-    return PersistencePairing(tuple(pairs), tuple(essentials))
+    for k, (births, deaths, ess) in _filtration_pairs(filtration, SUPPORTED_DEGREES).items():
+        pairs.extend(zip(births.tolist(), deaths.tolist()))
+        essentials.extend((i, k) for i in ess.tolist())
+    return PersistencePairing(tuple(sorted(pairs)), tuple(sorted(essentials)))

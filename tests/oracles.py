@@ -1,19 +1,23 @@
 """Independent reference implementations used only to check the package.
 
 Deliberately naive: plain set-based boundary-matrix reduction with no
-clearing and no per-degree shortcuts, and a bottleneck distance by binary
-search over the candidate grid with a direct quadratic matching check.  Kept
-separate from the package so each route is computed twice by different code.
+clearing and no per-degree shortcuts, a bottleneck distance by binary
+search over the candidate grid with a direct quadratic matching check, and
+one by enumerating every bijection.  Kept separate from the package so each
+route is computed twice by different code.
 """
 
 import itertools
 import math
 
 
-def naive_diagrams(filtration):
-    """All-degree diagrams by left-to-right reduction of the full boundary matrix."""
+def naive_pairing(filtration):
+    """Pairing by left-to-right reduction of the full boundary matrix.
+
+    Returns the (low, column) pairs and the unpaired simplices as (index,
+    degree), both in increasing order, as in ``PersistencePairing``.
+    """
     simplices = list(filtration.simplices)
-    values = list(filtration.values)
     index_of = {s: i for i, s in enumerate(simplices)}
     columns = []
     for s in simplices:
@@ -35,15 +39,23 @@ def naive_diagrams(filtration):
             col ^= columns[low_to_col[low]]
 
     paired = {i for pair in pairs for i in pair}
+    # unpaired simplices with nonzero reduced column cannot occur after full reduction
+    essentials = [(i, len(s) - 1) for i, s in enumerate(simplices)
+                  if i not in paired and not columns[i]]
+    return tuple(sorted(pairs)), tuple(essentials)
+
+
+def naive_diagrams(filtration):
+    """All-degree diagrams by left-to-right reduction of the full boundary matrix."""
+    values = list(filtration.values)
+    pairs, essentials = naive_pairing(filtration)
     diagrams = {0: [], 1: [], 2: []}
     for i, j in pairs:
-        k = len(simplices[i]) - 1
+        k = len(filtration.simplices[i]) - 1
         if values[i] < values[j]:
             diagrams[k].append((values[i], values[j]))
-    for i, s in enumerate(simplices):
-        if i not in paired and not columns[i]:
-            diagrams[len(s) - 1].append((values[i], math.inf))
-    # unpaired simplices with nonzero reduced column cannot occur after full reduction
+    for i, k in essentials:
+        diagrams[k].append((values[i], math.inf))
     return {k: sorted(v) for k, v in diagrams.items()}
 
 
@@ -54,7 +66,14 @@ def diagram_multiset(diagram):
 
 def _pair_cost(p, q):
     (pb, pd), (qb, qd) = p, q
+    if math.isinf(pd) or math.isinf(qd):
+        return abs(pb - qb) if math.isinf(pd) and math.isinf(qd) else math.inf
     return min(max(abs(pb - qb), abs(pd - qd)), max((pd - pb) / 2, (qd - qb) / 2))
+
+
+def _diagonal_cost(p):
+    b, d = p
+    return (d - b) / 2
 
 
 def _matchable(n1, n2, allowed, diag1, diag2):
@@ -100,8 +119,8 @@ def _finite_bottleneck(f1, f2, cands):
     if n1 == 0 and n2 == 0:
         return 0.0
     costs = [[_pair_cost(p, q) for q in f2] for p in f1]
-    diag1_cost = [(d - b) / 2 for b, d in f1]
-    diag2_cost = [(d - b) / 2 for b, d in f2]
+    diag1_cost = [_diagonal_cost(p) for p in f1]
+    diag2_cost = [_diagonal_cost(p) for p in f2]
 
     def feasible(lam):
         allowed = [[costs[i][j] <= lam for j in range(n2)] for i in range(n1)]
@@ -149,3 +168,42 @@ def bottleneck_candidate_grid(d1, d2):
     f2 = [p for p in points2 if math.isfinite(p[1])]
     ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
     return max(ess, _finite_bottleneck(f1, f2, candidate_costs(d1, d2)))
+
+
+def bottleneck_bruteforce(d1, d2, limit=12):
+    """Exact bottleneck by enumerating every multiset bijection (small inputs only).
+
+    Unmatched points pair with the diagonal; an essential point costs +inf
+    against the diagonal or a finite point.
+    """
+    if d1.degree != d2.degree:
+        raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
+    p1 = d1.expanded()
+    p2 = d2.expanded()
+    if len(p1) + len(p2) > limit:
+        raise ValueError(f"brute force limited to {limit} points, got {len(p1) + len(p2)}")
+
+    best = math.inf
+    n2 = len(p2)
+
+    def recurse(i, used, current):
+        nonlocal best
+        if current >= best:
+            return
+        if i == len(p1):
+            total = current
+            for j in range(n2):
+                if not used >> j & 1:
+                    total = max(total, _diagonal_cost(p2[j]))
+                    if total >= best:
+                        return
+            best = total
+            return
+        point = p1[i]
+        for j in range(n2):
+            if not used >> j & 1:
+                recurse(i + 1, used | 1 << j, max(current, _pair_cost(point, p2[j])))
+        recurse(i + 1, used, max(current, _diagonal_cost(point)))
+
+    recurse(0, 0, 0.0)
+    return best

@@ -19,7 +19,6 @@ from cmdist import (
     VertexFunction,
     analytic_contours,
     arc_contour,
-    bottleneck_bruteforce,
     bottleneck_distance,
     closed_form_special_t,
     cmd_maximize,
@@ -36,6 +35,7 @@ from cmdist import (
     special_values,
 )
 from conftest import get_fixture
+from oracles import bottleneck_bruteforce
 from test_diagram import random_diagram
 
 Q3 = (math.pi, 1.5 * math.pi)

@@ -8,7 +8,6 @@ from cmdist import (
     DIAGONAL,
     DiagramPoint,
     PersistenceDiagram,
-    bottleneck_bruteforce,
     bottleneck_distance,
     candidate_costs,
     lower_star_diagram,
@@ -16,7 +15,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture
-from oracles import bottleneck_candidate_grid
+from oracles import bottleneck_bruteforce, bottleneck_candidate_grid
 
 INF = math.inf
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture, random_complex, random_vertex_values
-from oracles import diagram_multiset, naive_diagrams
+from oracles import diagram_multiset, naive_diagrams, naive_pairing
 
 
 def test_single_vertex_is_one_essential_component():
@@ -27,8 +28,16 @@ def test_unsupported_degree():
     filt = Filtration(((0,),), np.array([0.0]))
     with pytest.raises(ValueError, match="degree"):
         compute_persistence(filt, 3)
-    with pytest.raises(ValueError, match="method"):
-        compute_persistence(filt, 0, method="magic")
+
+
+def test_tetrahedron_filtration_is_rejected():
+    simplices = tuple(s for d in range(1, 5) for s in itertools.combinations(range(4), d))
+    filt = Filtration(simplices, np.arange(len(simplices), dtype=float))
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match="dimension > 2"):
+            compute_persistence(filt, k)
+    with pytest.raises(ValueError, match="dimension > 2"):
+        compute_pairing(filt)
 
 
 def _significant(dgm, threshold=0.05):
@@ -65,27 +74,57 @@ def test_cone_degree0_two_components(cone64):
     assert abs(pts[1][0]) <= 0.05 and pts[1][1] == math.inf
 
 
+def _hand_built_filtration(rng):
+    """Random filtration that :func:`lower_star_filtration` never produces.
+
+    Vertex ids are sparse, every simplex lists its vertices in one scrambled
+    order, a simplex enters at or after its last face, and simplices of
+    equal value, vertices included, come in random order.
+    """
+    cx = random_complex(rng)
+    n = cx.n_vertices
+    ids = np.sort(rng.choice(1000, size=n, replace=False))
+    listed = rng.permutation(n)
+    rows = ([(v,) for v in range(n)] + [tuple(e) for e in cx.edges.tolist()]
+            + [tuple(t) for t in cx.triangles.tolist()])
+    key = {}
+    for s in rows:  # faces come before their cofaces in ``rows``
+        if len(s) == 1:
+            value, after = float(np.round(rng.normal())), 0.0
+        else:
+            faces = [key[s[:j] + s[j + 1:]] for j in range(len(s))]
+            value = max(f[0] for f in faces) + float(rng.choice([0.0, 0.0, 0.5]))
+            after = max(f[1] for f in faces)
+        key[s] = (value, after + rng.random())
+    rows.sort(key=key.__getitem__)
+    simplices = tuple(tuple(int(ids[v]) for v in sorted(s, key=listed.__getitem__)) for s in rows)
+    return Filtration(simplices, [key[s][0] for s in rows])
+
+
 def test_union_find_equals_reduction_on_random_filtrations():
     rng = np.random.default_rng(11)
-    for trial in range(40):
-        cx = random_complex(rng)
-        values = random_vertex_values(rng, cx.n_vertices, ties=trial % 2 == 0)
-        filt = lower_star_filtration(cx, VertexFunction(values))
-        assert len(filt) <= 200
-        fast = compute_persistence(filt, 0, method="union-find")
-        slow = compute_persistence(filt, 0, method="reduction")
-        assert diagram_multiset(fast) == diagram_multiset(slow)
+    for trial in range(60):
+        filt = _hand_built_filtration(rng)
+        expected = naive_diagrams(filt)
+        for k in (0, 1, 2):
+            got = diagram_multiset(compute_persistence(filt, k))
+            assert got == expected[k], (trial, k)
+
+
+def test_pairing_matches_naive_reduction():
+    two_vertices = Filtration(((1,), (0,), (0, 1)), [0.0, 0.0, 1.0])
+    pairing = compute_pairing(two_vertices)
+    assert (pairing.pairs, pairing.essentials) == naive_pairing(two_vertices) == (((1, 2),), ((0, 0),))
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        filt = _hand_built_filtration(rng)
+        pairing = compute_pairing(filt)
+        assert (pairing.pairs, pairing.essentials) == naive_pairing(filt), trial
 
 
 def _full_edge_union_find(cx, values):
     """Degree 0 by the elder-rule union-find over every edge in filtration order."""
-    from cmdist.persistence import _LowerStar, _diagram_points, _uf_merge
-
-    edges, evals, _ = _LowerStar(cx, values).edge_data()
-    pb, pd, _pv, _pe, _neg, root_births, _ri = _uf_merge(
-        cx.n_vertices, values, edges[:, 0], edges[:, 1], evals)
-    points = _diagram_points(pb, pd) + [(float(b), math.inf) for b in root_births]
-    return sorted(points)
+    return diagram_multiset(compute_persistence(lower_star_filtration(cx, values), 0))
 
 
 def _degree0_oracle(cx, values):
@@ -214,6 +253,25 @@ def test_dual_route_and_fallback_on_random_complexes():
                    else "dual" if cx.edge_cofaces is not None else "fallback")
         _assert_dual_route(cx, values, trial)
     assert routes == {"no triangles", "dual", "fallback"}
+
+
+def test_fin_on_cone_matches_naive_reduction():
+    """One more triangle on an interior edge of cone:16, so that edge has three."""
+    cx, f = get_fixture("cone", 16)
+    interior = np.flatnonzero((cx.edge_cofaces >= 0).all(axis=1))
+    a, b = cx.edges[interior[len(interior) // 2]]
+    fin = SimplicialComplex.from_triangles(np.vstack([cx.vertices, [[0.0, 0.0, 2.0]]]),
+                                           np.vstack([cx.triangles, [[a, b, cx.n_vertices]]]))
+    assert fin.edge_cofaces is None
+    rng = np.random.default_rng(53)
+    for t in (0.0, 0.3, 1.0):
+        smooth = np.append(f.at(t), 0.5)
+        noisy = smooth + rng.uniform(-0.1, 0.1, size=len(smooth))
+        for values in (smooth, noisy):
+            _assert_dual_route(fin, values, t)
+            essentials = [sum(1 for p in lower_star_diagram(fin, values, k).expanded()
+                              if math.isinf(p[1])) for k in (0, 1, 2)]
+            assert essentials[0] - essentials[1] + essentials[2] == fin.euler_characteristic()
 
 
 def test_all_degrees_match_naive_full_reduction():
