@@ -171,14 +171,7 @@ def run(config: RunConfig) -> int:
 
     if config.command == "matchdist":
         f, h = _load_input(config, 1), _load_input(config, 2)
-        na, nb = _parse_grid(config.grid)
-        value, witness, trace = matching_distance_scan(f, h, config.degree, slice_grid(na, nb))
-        _emit(config, {
-            "degree": config.degree,
-            "value": value,
-            "witness": {"a": witness.a, "b": witness.b},
-            "grid": {"n_a": na, "n_b": nb},
-        })
+        _emit(config, {"degree": config.degree, **_matchdist(config, f, h)})
         return 0
 
     if config.command == "predict":
@@ -214,26 +207,17 @@ def run(config: RunConfig) -> int:
     if config.command == "compare":
         f, h = _load_input(config, 1), _load_input(config, 2)
         result = cmd_maximize(f, h, config.degree, config.eps)
-        na, nb = _parse_grid(config.grid)
-        value, witness, _trace = matching_distance_scan(f, h, config.degree, slice_grid(na, nb))
+        md = _matchdist(config, f, h)
         cmd_payload = _cmd_result_payload(result, config)
         del cmd_payload["trace"]  # the table is the point here; cmd keeps the full trace
-        payload = {
-            "degree": config.degree,
-            "cmd": cmd_payload,
-            "matchdist": {
-                "value": value,
-                "witness": {"a": witness.a, "b": witness.b},
-                "grid": {"n_a": na, "n_b": nb},
-            },
-        }
-        _emit(config, payload)
+        _emit(config, {"degree": config.degree, "cmd": cmd_payload, "matchdist": md})
+        witness, grid = md["witness"], md["grid"]
         rows = [
             ("convex matching distance", _num(result.value)),
             ("  argmax t", _num(result.argmax_t)),
             ("  certificate gap", _num(result.gap)),
-            (f"matching distance (sampled, {na}x{nb})", _num(value)),
-            ("  witness (a, b)", f"({_num(witness.a)}, {_num(witness.b)})"),
+            (f"matching distance (sampled, {grid['n_a']}x{grid['n_b']})", _num(md["value"])),
+            ("  witness (a, b)", f"({_num(witness['a'])}, {_num(witness['b'])})"),
         ]
         rule = "-" * 58
         table = "\n".join([rule, *(f"{label:<34}{cell:>24}" for label, cell in rows), rule])
@@ -248,6 +232,14 @@ def _num(x: float) -> str:
     if math.isinf(x):
         return "inf"
     return format(x, ".6g")
+
+
+def _matchdist(config: RunConfig, f: BiFunction, h: BiFunction) -> dict:
+    """Sampled matching distance over the --grid slices, as its JSON block."""
+    na, nb = _parse_grid(config.grid)
+    value, witness, _trace = matching_distance_scan(f, h, config.degree, slice_grid(na, nb))
+    return {"value": value, "witness": {"a": witness.a, "b": witness.b},
+            "grid": {"n_a": na, "n_b": nb}}
 
 
 def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction):
@@ -286,25 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        fixture=args.fixture,
-        fixture2=args.fixture2,
-        mesh=args.mesh,
-        values=args.values,
-        mesh2=args.mesh2,
-        values2=args.values2,
-        contours=args.contours,
-        contours2=args.contours2,
-        degree=args.degree,
-        eps=args.eps,
-        mode=args.mode,
-        grid=args.grid,
-        t=args.t,
-        out=args.out,
-        plot=args.plot,
-    )
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

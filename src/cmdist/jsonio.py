@@ -16,9 +16,7 @@ def _format_float(x: float) -> str:
         return '"inf"' if x > 0 else '"-inf"'
     if math.isnan(x):
         raise ValueError("refusing to serialize NaN")
-    text = format(x, ".17g")
-    # keep a numeric token recognizable as float where it matters
-    return text
+    return format(x, ".17g")
 
 
 def dumps_canonical(obj, indent: int = 2) -> str:

@@ -8,12 +8,15 @@ operations here locate those orthogonal intersections, predict diagram
 coordinates from them, and assemble the finite set of t values where the
 maximizer of the distance curve can sit: endpoint orthogonality,
 equal-cost breakpoints of projected gaps, and osculating-circle
-coincidences.  That search tabulates every branch as arrays over one
-shared t-grid; scalar routines only polish the roots the tables bracket.
+coincidences.  That search tabulates every branch's hits as arrays over
+one shared t-grid.  Each special-value condition is one array function of
+those hits: it runs on the grid to bracket roots and on one-element arrays
+to polish them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +31,6 @@ from .complexes import BiFunction, parse_fixture_name
 from .convex import CmdResult, DEFAULT_EPS, cmd_maximize, g_value, lipschitz_constant
 
 CURVATURE_FLOOR = 1e-9
-TAU_ROOT_TOL = 1e-10
 DEDUP_T_TOL = 1e-8
 _MIN_SAMPLES = 8
 _MAX_CONTOURS = 64
@@ -55,6 +57,13 @@ def _libm(fn, *arrays) -> np.ndarray:
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=np.float64)
 
 
+def _pairs(x, y) -> np.ndarray:
+    """x and y stacked along a new last axis; cheaper than ``np.stack`` on short arrays."""
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0], out[..., 1] = x, y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Geometry backends
 
@@ -66,41 +75,36 @@ class _ArcGeometry:
         self.cx, self.cy, self.rx, self.ry = float(cx), float(cy), float(rx), float(ry)
         self.theta0, self.theta1 = float(theta0), float(theta1)
         self.dtheta = self.theta1 - self.theta0
+        self.lo, self.hi = sorted((self.theta0, self.theta1))
 
     def _theta(self, tau):
         return self.theta0 + np.asarray(tau) * self.dtheta
 
     def point(self, tau):
         th = self._theta(tau)
-        return np.stack([self.cx + self.rx * np.cos(th), self.cy + self.ry * np.sin(th)], axis=-1)
+        return _pairs(self.cx + self.rx * np.cos(th), self.cy + self.ry * np.sin(th))
 
     def velocity(self, tau):
         th = self._theta(tau)
-        return np.stack([-self.rx * np.sin(th), self.ry * np.cos(th)], axis=-1) * self.dtheta
+        return _pairs(-self.rx * np.sin(th) * self.dtheta, self.ry * np.cos(th) * self.dtheta)
 
     def acceleration(self, tau):
         th = self._theta(tau)
-        return np.stack([-self.rx * np.cos(th), -self.ry * np.sin(th)], axis=-1) * self.dtheta ** 2
-
-    def tau_of_t(self, t: float) -> list[float]:
-        """Parameters where the tangent is orthogonal to (1-t, t), solved exactly."""
-        base = math.atan2(t * self.ry, (1.0 - t) * self.rx)
-        lo, hi = sorted((self.theta0, self.theta1))
-        taus = []
-        for k in range(-2, 3):
-            th = base + k * math.pi
-            if lo - 1e-12 <= th <= hi + 1e-12:
-                tau = (th - self.theta0) / self.dtheta
-                taus.append(min(1.0, max(0.0, tau)))
-        return sorted(set(taus))
+        d2 = self.dtheta ** 2
+        return _pairs(-self.rx * np.cos(th) * d2, -self.ry * np.sin(th) * d2)
 
     def taus_of_t(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`tau_of_t` for an array of t: column k holds the (k-2)*pi shift, or NaN."""
-        th = _libm(math.atan2, ts * self.ry, (1.0 - ts) * self.rx)[:, None] + np.arange(-2, 3) * math.pi
-        lo, hi = sorted((self.theta0, self.theta1))
-        taus = np.clip((th - self.theta0) / self.dtheta, 0.0, 1.0)
-        taus[(th < lo - 1e-12) | (th > hi + 1e-12)] = np.nan
-        return taus
+        """Parameter where the tangent is orthogonal to (1-t, t), per t, or NaN off the arc.
+
+        The angle is ``atan2(t ry, (1-t) rx)`` up to a multiple of pi.  The monotone
+        split keeps the arc inside one quadrant, so only the shift nearest the middle
+        of the angle range can land in it.  Rounding may leave tau up to about 1e-12
+        outside [0, 1]; :meth:`ContourBranch.taus_at` clamps it to the branch.
+        """
+        base = _libm(math.atan2, ts * self.ry, (1.0 - ts) * self.rx)
+        th = base + np.rint(((self.lo + self.hi) / 2 - base) / math.pi) * math.pi
+        landed = (th >= self.lo - 1e-12) & (th <= self.hi + 1e-12)
+        return np.where(landed, (th - self.theta0) / self.dtheta, np.nan)
 
     def translated(self, dx, dy):
         return _ArcGeometry(self.cx + dx, self.cy + dy, self.rx, self.ry, self.theta0, self.theta1)
@@ -265,63 +269,41 @@ def t_of_orthogonality(c: Contour, tau: float) -> float:
     return v1 / denom
 
 
-def _t_profile(c: Contour, taus: np.ndarray) -> np.ndarray:
-    v = c.velocity(taus)
-    return v[..., 0] / (v[..., 0] - v[..., 1])
+def _projection(p: np.ndarray, t):
+    """w = point . (1-t, t) for points in the last axis of ``p``."""
+    return p[..., 0] * (1.0 - t) + p[..., 1] * t
 
 
 def orthogonal_intersections(c: Contour, t: float) -> list[tuple[float, np.ndarray, float]]:
     """All (tau, point, w) where the direction (1-t, t) meets the contour orthogonally.
 
-    ``w`` is the projection point . (1-t, t).  Roots are bracketed on a
-    refinement of the sample grid and polished to ``TAU_ROOT_TOL`` in tau.
+    The hits of the contour's branches (:meth:`ContourBranch.tau_at`) plus the
+    contour endpoints whose orthogonality t lies within 1e-9 of t, without
+    repeats closer than 1e-9 in tau; ``w`` is the projection point . (1-t, t).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
-    taus: list[float] = []
-    if c.is_analytic:
-        taus = c.geometry.tau_of_t(t)
-    else:
-        grid = np.linspace(0.0, 1.0, 4 * (len(c.samples) - 1) + 1)
-        profile = _t_profile(c, grid) - t
-        for i in range(len(grid) - 1):
-            a, b = profile[i], profile[i + 1]
-            if a == 0.0:
-                taus.append(float(grid[i]))
-            elif a * b < 0:
-                taus.append(float(brentq(lambda x: t_of_orthogonality(c, x) - t,
-                                         grid[i], grid[i + 1], xtol=TAU_ROOT_TOL)))
-        if profile[-1] == 0.0:
-            taus.append(1.0)
-        for end in (0.0, 1.0):
-            if abs(_t_profile(c, np.array([end]))[0] - t) <= 1e-9:
-                taus.append(end)
+    taus = [b.tau_at(t) for b in contour_branches(c)]
+    taus += [end for end in (0.0, 1.0) if abs(t_of_orthogonality(c, end) - t) <= 1e-9]
     out = []
     seen: list[float] = []
-    for tau in sorted(taus):
+    for tau in sorted(tau for tau in taus if not math.isnan(tau)):
         if any(abs(tau - s) <= 1e-9 for s in seen):
             continue
         seen.append(tau)
         p = c.point(tau)
-        out.append((tau, p, float(p[0] * (1.0 - t) + p[1] * t)))
+        out.append((tau, p, float(_projection(p, t))))
     return out
 
 
 def position_predict(contours, t: float) -> list[float]:
     """Candidate finite diagram coordinates of the combined function at t.
 
-    Projections of all orthogonal intersections, including contour endpoints
-    whose tangent is orthogonal to (1-t, t).  The mesh diagram coordinates
-    must land within mesh tolerance of this set; the set may be larger.
+    Projections of all orthogonal intersections, contour endpoints included.
+    The mesh diagram coordinates must land within mesh tolerance of this set;
+    the set may be larger.
     """
-    ws: list[float] = []
-    for c in contours:
-        for _tau, _p, w in orthogonal_intersections(c, t):
-            ws.append(w)
-        for end in (0.0, 1.0):
-            if abs(t_of_orthogonality(c, end) - t) <= 1e-9:
-                p = c.point(end)
-                ws.append(float(p[0] * (1.0 - t) + p[1] * t))
+    ws = [w for c in contours for _tau, _p, w in orthogonal_intersections(c, t)]
     out: list[float] = []
     for w in sorted(ws):
         if not out or abs(w - out[-1]) > 1e-9:
@@ -422,48 +404,50 @@ class ContourBranch:
     def t_max(self) -> float:
         return max(self.t_lo, self.t_hi)
 
+    def taus_at(self, ts) -> np.ndarray:
+        """Parameter of the orthogonal hit at each t, NaN outside the branch domain.
+
+        Closed form on arcs.  On sampled contours, one brentq per t (xtol 1e-13)
+        over the branch, where the orthogonality profile is monotone.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        lo, hi = self.t_min, self.t_max
+        if self.kind == "constant":
+            return np.full(ts.shape, np.nan)
+        inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+        t_in = np.minimum(np.maximum(ts, lo), hi)
+        if self.contour.is_analytic:
+            taus = self.contour.geometry.taus_of_t(t_in)
+            inside &= (taus >= self.tau_lo - 1e-9) & (taus <= self.tau_hi + 1e-9)
+            return np.where(inside, np.minimum(np.maximum(taus, self.tau_lo), self.tau_hi), np.nan)
+        c = self.contour
+        t_a, t_b = t_of_orthogonality(c, self.tau_lo), t_of_orthogonality(c, self.tau_hi)
+        taus = np.full(ts.shape, np.nan)
+        for k in np.flatnonzero(inside).tolist():
+            t = float(t_in[k])
+            if t_a == t:
+                taus[k] = self.tau_lo
+            elif t_b == t:
+                taus[k] = self.tau_hi
+            elif (t_a - t) * (t_b - t) <= 0.0:
+                taus[k] = brentq(lambda x: t_of_orthogonality(c, x) - t,
+                                 self.tau_lo, self.tau_hi, xtol=1e-13)
+        return taus
+
+    def hits(self, ts) -> "_Hits":
+        """Points, projections and osculating data of the hits at each t."""
+        ts = np.asarray(ts, dtype=np.float64)
+        return _Hits(self, ts, self.taus_at(ts))
+
     def tau_at(self, t: float) -> float:
         """Parameter of the orthogonal hit at t, or NaN outside the branch domain."""
-        if self.kind == "constant":
-            return math.nan
-        lo, hi = self.t_min, self.t_max
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            return math.nan
-        t = min(max(t, lo), hi)
-        if self.contour.is_analytic:
-            for tau in self.contour.geometry.tau_of_t(t):
-                if self.tau_lo - 1e-9 <= tau <= self.tau_hi + 1e-9:
-                    return min(max(tau, self.tau_lo), self.tau_hi)
-            return math.nan
-        f = lambda x: t_of_orthogonality(self.contour, x) - t
-        fa, fb = f(self.tau_lo), f(self.tau_hi)
-        if fa == 0.0:
-            return self.tau_lo
-        if fb == 0.0:
-            return self.tau_hi
-        if fa * fb > 0:
-            return math.nan
-        return float(brentq(f, self.tau_lo, self.tau_hi, xtol=1e-13))
-
-    def taus_at(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`tau_at` for an array of t, in closed form for the whole array on arcs."""
-        if self.kind == "constant" or not self.contour.is_analytic:
-            return np.array([self.tau_at(t) for t in ts.tolist()], dtype=np.float64)
-        lo, hi = self.t_min, self.t_max
-        taus = self.contour.geometry.taus_of_t(np.clip(ts, lo, hi))
-        taus[(taus < self.tau_lo - 1e-9) | (taus > self.tau_hi + 1e-9)] = np.nan
-        taus = np.clip(np.fmin.reduce(taus, axis=1), self.tau_lo, self.tau_hi)
-        return np.where((ts >= lo - 1e-12) & (ts <= hi + 1e-12), taus, np.nan)
+        return float(self.taus_at([t])[0])
 
     def point_at(self, t: float) -> np.ndarray:
-        tau = self.tau_at(t)
-        if math.isnan(tau):
-            return np.array([math.nan, math.nan])
-        return self.contour.point(tau)
+        return self.hits([t]).p[0]
 
     def w_at(self, t: float) -> float:
-        p = self.point_at(t)
-        return float(p[0] * (1.0 - t) + p[1] * t)
+        return float(self.hits([t]).w[0])
 
     def osculating_at(self, t: float) -> OsculatingData | None:
         tau = self.tau_at(t)
@@ -494,10 +478,11 @@ def contour_branches(c: Contour) -> list[ContourBranch]:
         return float(v2[0] * a2[1] - v2[1] * a2[0])
 
     cuts = [0.0]
-    for i in range(len(grid) - 1):
+    flips = (small[:-1] != small[1:]) | (~small[:-1] & (kappa[:-1] * kappa[1:] < 0))
+    for i in np.flatnonzero(flips).tolist():
         if small[i] != small[i + 1]:
             cuts.append(float(grid[i + 1] if small[i + 1] else grid[i]))
-        elif not small[i] and kappa[i] * kappa[i + 1] < 0:
+        else:
             cuts.append(float(brentq(cross_of, grid[i], grid[i + 1], xtol=1e-12)))
     cuts.append(1.0)
     cuts = sorted(set(cuts))
@@ -528,6 +513,75 @@ def closed_form_special_t(q: float) -> float | None:
     return zeta / (1.0 + zeta)
 
 
+class _Hits:
+    """Orthogonal hits of one branch at an array of t, NaN rows where it has none.
+
+    ``p`` holds the points and ``w`` their projections.  The osculating data
+    (x-signed radius ``ell``, center ``cx``, ``cy``) is computed on first use
+    and stays NaN below the curvature floor and where the estimate is
+    unstable; ``unstable`` records the latter instead of raising.
+    """
+
+    def __init__(self, branch: ContourBranch, ts: np.ndarray, tau: np.ndarray):
+        self.branch, self.ts, self.tau, self.unstable = branch, ts, tau, False
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return self.branch.contour.point(self.tau)  # NaN in, NaN out
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return _projection(self.p, self.ts)
+
+    @functools.cached_property
+    def _osc(self) -> np.ndarray:
+        o = _osculation(self.branch.contour, self.tau)
+        self.unstable = not o.stable[~np.isnan(self.tau)].all()
+        return np.where(o.stable, [o.ell, o.center[:, 0], o.center[:, 1]], np.nan)
+
+    ell = property(lambda self: self._osc[0])
+    cx = property(lambda self: self._osc[1])
+    cy = property(lambda self: self._osc[2])
+
+
+def _angles(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of theta = atan2(t, 1-t), the angle of the direction (1-t, t)."""
+    theta = _libm(math.atan2, ts, 1.0 - ts)
+    return _libm(math.cos, theta), _libm(math.sin, theta)
+
+
+# The special-value conditions: each maps the hits of its branches and the
+# angles of the same t to an array that vanishes where the condition holds.
+
+
+def _equal_projection(hits, angles):
+    """w_i = w_j: two hits share the projection value."""
+    a, b = hits
+    return a.w - b.w
+
+
+def _gap_ratio(hits, angles, ratio):
+    """w_i - w_j = ratio (w_k - w_l): two projected gaps at a fixed ratio."""
+    a, b, c, d = hits
+    return (a.w - b.w) - ratio * (c.w - d.w)
+
+
+def _equal_radius(hits, angles):
+    """Equal x-signed osculating radii."""
+    a, b = hits
+    return a.ell - b.ell
+
+
+def _angle_derivative(hits, angles):
+    """(cos - sin)(ell_i - ell_j) - ((y_i - y_j) - (x_i - x_j)) over the osculating centers.
+
+    On the osculating model this is -(cos + sin)^2 times d(w_i - w_j)/d(theta).
+    """
+    a, b = hits
+    cos, sin = angles
+    return (cos - sin) * (a.ell - b.ell) - ((a.cy - b.cy) - (a.cx - b.cx))
+
+
 def cost_derivative(b1: ContourBranch, b2: ContourBranch, t: float) -> float:
     """Derivative in the angle theta = arctan(t/(1-t)) of the projected gap w1 - w2.
 
@@ -537,22 +591,18 @@ def cost_derivative(b1: ContourBranch, b2: ContourBranch, t: float) -> float:
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly inside (0, 1)")
-    theta = math.atan2(t, 1.0 - t)
-    s, cth = math.sin(theta), math.cos(theta)
-    denom = (cth + s) ** 2
-
-    def one(branch):
-        osc = branch.osculating_at(t)
-        if osc is None:
+    ts = np.array([t])
+    hits = [b1.hits(ts), b2.hits(ts)]
+    for branch, h in zip((b1, b2), hits):
+        if math.isnan(h.tau[0]):
             raise ValueError(f"branch of {branch.contour.id!r} has no orthogonal hit at t={t}")
-        if osc.signed_radius is None:
+        if math.isnan(h.ell[0]):
+            osculating(branch.contour, float(h.tau[0]))  # raises for unstable data
             raise ValueError(
                 f"signed radius undefined (curvature below floor) on {branch.contour.id!r} at t={t}"
             )
-        x, y = osc.center
-        return (y - x + osc.signed_radius * (s - cth)) / denom
-
-    return one(b1) - one(b2)
+    cos, sin = _angles(ts)
+    return float(-_angle_derivative(hits, (cos, sin))[0] / (cos[0] + sin[0]) ** 2)
 
 
 def _chebyshev_nodes(lo: float, hi: float, n: int = 17) -> list[float]:
@@ -572,67 +622,48 @@ def _scan_roots(fn, ts: np.ndarray, values: np.ndarray):
 
 
 class _BranchTables:
-    """Hit data for every monotone branch, as arrays over one shared t-grid.
+    """Hits of every monotone branch as arrays over one shared t-grid.
 
-    Orthogonal hits, their points and projections, and osculating data are
-    computed for the whole grid at once; the pairwise condition scans work
-    on masked array arithmetic, and the scalar routines only polish the
-    roots those scans bracket.  Unstable osculating data stays NaN and flags
-    its branch instead of raising, so rough sample data degrades to warnings.
+    :meth:`evaluate` runs a condition on these tables to bracket its roots,
+    and on one-element hits at a single t to polish them.  ``unstable``
+    collects the branches whose osculating data was unstable anywhere it was
+    evaluated.
     """
 
     def __init__(self, branches: list[ContourBranch], grid_size: int):
         self.branches = branches
         self.ts = np.linspace(0.0, 1.0, grid_size)
-        self.tau, self.w, self.px, self.py = [], [], [], []
-        self._osc: dict[int, tuple] = {}
-        self.unstable = [False] * len(branches)
+        self.angles = _angles(self.ts)
+        self.hits = []
         for b in branches:
             margin = 1e-9 + 1e-6 * (b.t_max - b.t_min)
             inside = (self.ts >= b.t_min + margin) & (self.ts <= b.t_max - margin)
-            tau = np.where(inside, b.taus_at(self.ts), np.nan)
-            hit = ~np.isnan(tau)
-            p = np.full((grid_size, 2), np.nan)
-            p[hit] = b.contour.point(tau[hit])
-            self.tau.append(tau)
-            self.px.append(p[:, 0])
-            self.py.append(p[:, 1])
-            self.w.append(p[:, 0] * (1 - self.ts) + p[:, 1] * self.ts)
+            self.hits.append(_Hits(b, self.ts, np.where(inside, b.taus_at(self.ts), np.nan)))
+        self.unstable = [False] * len(branches)
 
     def overlap(self, *indices) -> tuple[float, float]:
         lo = max(self.branches[i].t_min for i in indices)
         hi = min(self.branches[i].t_max for i in indices)
         return lo, hi
 
-    def osc_at(self, i: int, t: float) -> OsculatingData | None:
-        try:
-            return self.branches[i].osculating_at(t)
-        except ContourError:
-            self.unstable[i] = True
-            return None
-
-    def osc(self, i: int):
-        """(signed radius, center x, center y) tables for branch i."""
-        if i not in self._osc:
-            hit = ~np.isnan(self.tau[i])
-            o = _osculation(self.branches[i].contour, self.tau[i][hit])
-            self.unstable[i] |= not o.stable.all()
-            table = np.full((len(self.ts), 3), np.nan)
-            table[hit] = np.where(o.stable[:, None], np.column_stack([o.ell, o.center]), np.nan)
-            self._osc[i] = (table[:, 0], table[:, 1], table[:, 2])
-        return self._osc[i]
-
     def coincident(self, i: int, j: int) -> bool:
-        both = ~(np.isnan(self.px[i]) | np.isnan(self.px[j]))
+        d = self.hits[i].p - self.hits[j].p
+        both = ~np.isnan(d[:, 0])
         if not np.any(both):
             return True
-        return bool(np.max(np.hypot(self.px[i][both] - self.px[j][both],
-                                    self.py[i][both] - self.py[j][both])) < _POINT_TOL)
+        return bool(np.max(np.hypot(d[both, 0], d[both, 1])) < _POINT_TOL)
 
-    def distinct_at(self, i: int, j: int, t: float) -> bool:
-        pi = self.branches[i].point_at(t)
-        pj = self.branches[j].point_at(t)
-        return bool(np.linalg.norm(pi - pj) > _POINT_TOL)
+    def evaluate(self, condition, indices, t: float | None = None):
+        """(values, hits) of a condition over the grid, or at t alone."""
+        if t is None:
+            hits, angles = [self.hits[m] for m in indices], self.angles
+        else:
+            ts = np.array([t])
+            hits, angles = [self.branches[m].hits(ts) for m in indices], _angles(ts)
+        values = condition(hits, angles)
+        for m, h in zip(indices, hits):
+            self.unstable[m] |= h.unstable
+        return values, hits
 
 
 def special_values(contours_phi, contours_psi, *, grid_size: int = 257) -> list[SpecialValue]:
@@ -693,140 +724,68 @@ def special_values(contours_phi, contours_psi, *, grid_size: int = 257) -> list[
                 warnings=("zero-curvature",))
 
     tables = _BranchTables(mono, grid_size)
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(mono)), 2)
+             if tables.overlap(i, j)[0] < tables.overlap(i, j)[1] and not tables.coincident(i, j)]
+    quads = [(i, j, k, l) for (i, j), (k, l) in itertools.combinations(pairs, 2)
+             if tables.overlap(i, j, k, l)[0] < tables.overlap(i, j, k, l)[1]]
+    # Each group is checked in order up to its first condition that holds on a
+    # whole interval: with equal radii the angle condition compares centers only.
+    groups = ([[("equal-projection", _equal_projection, ij)] for ij in pairs]
+              + [[(f"gap-ratio {r}", functools.partial(_gap_ratio, ratio=r), q)]
+                 for q in quads for r in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)]
+              + [[("equal-signed-radius", _equal_radius, ij),
+                  ("angle-derivative", _angle_derivative, ij)] for ij in pairs])
+    root_condition = {"equal-projection": "equal-cost-breakpoint", "equal-signed-radius":
+                      "osculating-equality", "angle-derivative": "osculating-formula"}
 
-    def witness_pair(i, j, t):
-        return [
-            {"contour": mono[i].contour.id, "point": [float(x) for x in mono[i].point_at(t)]},
-            {"contour": mono[j].contour.id, "point": [float(x) for x in mono[j].point_at(t)]},
-        ]
+    grid_index = {t: k for k, t in enumerate(tables.ts.tolist())}
 
-    def flat(values: np.ndarray) -> bool:
-        finite = values[np.isfinite(values)]
-        return len(finite) >= 8 and float(np.max(np.abs(finite))) < _FLAT_TOL
+    def osc_warnings(indices):
+        return ("osculating-unstable",) if any(tables.unstable[m] for m in indices) else ()
 
-    # 2a. coordinate crossings w_i = w_j (two lines sharing the projection value)
-    usable_pairs = []
-    for i, j in itertools.combinations(range(len(mono)), 2):
-        lo, hi = tables.overlap(i, j)
-        if hi <= lo or tables.coincident(i, j):
-            continue
-        usable_pairs.append((i, j))
-        gap = tables.w[i] - tables.w[j]
-        if flat(gap):
-            families.append(SpecialValue(
-                (lo + hi) / 2, "degenerate-family",
-                ({"interval": [lo, hi],
-                  "branches": [mono[i].contour.id, mono[j].contour.id],
-                  "relation": "equal-projection"},)))
-            continue
-        fn = lambda t, a=i, b=j: mono[a].w_at(t) - mono[b].w_at(t)
-        for root in _scan_roots(fn, tables.ts, gap):
-            if tables.distinct_at(i, j, root):
-                add(root, "equal-cost-breakpoint", witness_pair(i, j, root))
-
-    # 2b. equal or half-ratio gaps between two distinct pairs of hits
-    ratios = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
-    for (i, j), (k, l) in itertools.combinations(usable_pairs, 2):
-        lo, hi = tables.overlap(i, j, k, l)
-        if hi <= lo:
-            continue
-        gap_ij = tables.w[i] - tables.w[j]
-        gap_kl = tables.w[k] - tables.w[l]
-        for ratio in ratios:
-            values = gap_ij - ratio * gap_kl
-            if flat(values):
+    for group in groups:
+        for relation, condition, indices in group:
+            values, _ = tables.evaluate(condition, indices)
+            finite = values[np.isfinite(values)]
+            if len(finite) >= 8 and float(np.max(np.abs(finite))) < _FLAT_TOL:
+                lo, hi = tables.overlap(*indices)
                 families.append(SpecialValue(
                     (lo + hi) / 2, "degenerate-family",
-                    ({"interval": [lo, hi],
-                      "branches": [mono[m].contour.id for m in (i, j, k, l)],
-                      "relation": f"gap-ratio {ratio}"},)))
-                continue
-            fn = lambda t, r=ratio: ((mono[i].w_at(t) - mono[j].w_at(t))
-                                     - r * (mono[k].w_at(t) - mono[l].w_at(t)))
-            for root in _scan_roots(fn, tables.ts, values):
-                pi, pj = mono[i].point_at(root), mono[j].point_at(root)
-                pk, pl = mono[k].point_at(root), mono[l].point_at(root)
-                same = (
-                    (np.linalg.norm(pi - pk) < _POINT_TOL and np.linalg.norm(pj - pl) < _POINT_TOL)
-                    or (np.linalg.norm(pi - pl) < _POINT_TOL and np.linalg.norm(pj - pk) < _POINT_TOL)
-                )
-                if not same:
-                    add(root, "equal-cost-breakpoint",
-                        witness_pair(i, j, root) + witness_pair(k, l, root))
+                    ({"interval": [lo, hi], "branches": [mono[m].contour.id for m in indices],
+                      "relation": relation},), osc_warnings(indices)))
+                break
+            probes = {}
 
-    # 3. osculating conditions on interior hits
-    for i, j in usable_pairs:
-        lo, hi = tables.overlap(i, j)
-        ell_i, cx_i, cy_i = tables.osc(i)
-        ell_j, cx_j, cy_j = tables.osc(j)
-        both = ~(np.isnan(ell_i) | np.isnan(ell_j))
-        if not np.any(both):
-            continue
+            def polish(t):
+                if t in grid_index:  # a bracket end: the table holds the same value
+                    return float(values[grid_index[t]])
+                probes[t] = tables.evaluate(condition, indices, t)
+                return float(probes[t][0][0])
 
-        def pair_warnings(extra=()):
-            base = ("osculating-unstable",) if (tables.unstable[i] or tables.unstable[j]) else ()
-            return base + tuple(extra)
-
-        def osc_pair(t):
-            oi, oj = tables.osc_at(i, t), tables.osc_at(j, t)
-            if oi is None or oj is None or oi.signed_radius is None or oj.signed_radius is None:
-                return None
-            return oi, oj
-
-        def radius_gap(t):
-            pair = osc_pair(t)
-            if pair is None:
-                return math.nan
-            return pair[0].signed_radius - pair[1].signed_radius
-
-        gap = np.where(both, ell_i - ell_j, np.nan)
-        if flat(gap):
-            families.append(SpecialValue(
-                (lo + hi) / 2, "degenerate-family",
-                ({"interval": [lo, hi],
-                  "branches": [mono[i].contour.id, mono[j].contour.id],
-                  "relation": "equal-signed-radius"},), pair_warnings()))
-            continue
-        for root in _scan_roots(radius_gap, tables.ts, gap):
-            if tables.distinct_at(i, j, root):
-                add(root, "osculating-equality", witness_pair(i, j, root), pair_warnings())
-
-        # angle-derivative condition (cos - sin)(l1 - l2) = (y1 - y2) - (x1 - x2)
-        theta = np.arctan2(tables.ts, 1.0 - tables.ts)
-        cond = (np.cos(theta) - np.sin(theta)) * (ell_i - ell_j) - ((cy_i - cy_j) - (cx_i - cx_j))
-        cond = np.where(both, cond, np.nan)
-
-        def cond_fn(t):
-            pair = osc_pair(t)
-            if pair is None:
-                return math.nan
-            oi, oj = pair
-            th = math.atan2(t, 1.0 - t)
-            return ((math.cos(th) - math.sin(th)) * (oi.signed_radius - oj.signed_radius)
-                    - ((oi.center[1] - oj.center[1]) - (oi.center[0] - oj.center[0])))
-
-        if flat(cond):
-            families.append(SpecialValue(
-                (lo + hi) / 2, "degenerate-family",
-                ({"interval": [lo, hi],
-                  "branches": [mono[i].contour.id, mono[j].contour.id],
-                  "relation": "angle-derivative"},), pair_warnings()))
-            continue
-        for root in _scan_roots(cond_fn, tables.ts, cond):
-            if not tables.distinct_at(i, j, root):
-                continue
-            pair = osc_pair(root)
-            if pair is None:
-                continue
-            oi, oj = pair
-            extra = []
-            q = (((oi.center[1] - oj.center[1]) - (oi.center[0] - oj.center[0]))
-                 / (oi.signed_radius - oj.signed_radius)) if oi.signed_radius != oj.signed_radius else math.nan
-            if math.isfinite(q) and root <= 0.5:
-                t_cf = closed_form_special_t(q)
-                if t_cf is not None and abs(t_cf - root) > DEDUP_T_TOL:
-                    extra.append("closed-form-mismatch")
-            add(root, "osculating-formula", witness_pair(i, j, root), pair_warnings(extra))
+            for root in _scan_roots(polish, tables.ts, values):
+                value, hits = probes.get(root) or tables.evaluate(condition, indices, root)
+                p = [h.p[0] for h in hits]
+                dist = lambda a, b: np.linalg.norm(p[a] - p[b])
+                if len(p) == 4:
+                    if ((dist(0, 2) < _POINT_TOL and dist(1, 3) < _POINT_TOL)
+                            or (dist(0, 3) < _POINT_TOL and dist(1, 2) < _POINT_TOL)):
+                        continue
+                elif not dist(0, 1) > _POINT_TOL:
+                    continue
+                extra = ()
+                if relation == "angle-derivative":
+                    if math.isnan(value[0]):
+                        continue
+                    a, b = hits
+                    d_ell = float(a.ell[0] - b.ell[0])
+                    q = float((a.cy[0] - b.cy[0]) - (a.cx[0] - b.cx[0])) / d_ell if d_ell else math.nan
+                    t_cf = closed_form_special_t(q) if math.isfinite(q) and root <= 0.5 else None
+                    if t_cf is not None and abs(t_cf - root) > DEDUP_T_TOL:
+                        extra = ("closed-form-mismatch",)
+                witnesses = [{"contour": mono[m].contour.id, "point": [float(x) for x in pm]}
+                             for m, pm in zip(indices, p)]
+                add(root, root_condition.get(relation, "equal-cost-breakpoint"), witnesses,
+                    osc_warnings(indices) + extra)
 
     return _deduplicate(points, families)
 

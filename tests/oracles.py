@@ -2,13 +2,16 @@
 
 Deliberately naive: plain set-based boundary-matrix reduction with no
 clearing and no per-degree shortcuts, a bottleneck distance by binary
-search over the candidate grid with a direct quadratic matching check, and
-one by enumerating every bijection.  Kept separate from the package so each
-route is computed twice by different code.
+search over the candidate grid with a direct quadratic matching check, one
+by enumerating every bijection, and scalar ``math`` versions of the contour
+hits, osculating circles and special-value conditions.  Kept separate from
+the package so each route is computed twice by different code.
 """
 
 import itertools
 import math
+
+from scipy.optimize import brentq
 
 
 def naive_pairing(filtration):
@@ -207,3 +210,105 @@ def bottleneck_bruteforce(d1, d2, limit=12):
 
     recurse(0, 0, 0.0)
     return best
+
+
+# --- contour geometry -------------------------------------------------------------
+
+
+def arc_taus_of_t(geometry, t):
+    """Every tau where an ellipse arc's tangent is orthogonal to (1-t, t).
+
+    The angle atan2(t ry, (1-t) rx) shifted by k*pi for k in -2..2, kept where
+    it lands in the arc's angle range.
+    """
+    base = math.atan2(t * geometry.ry, (1.0 - t) * geometry.rx)
+    lo, hi = sorted((geometry.theta0, geometry.theta1))
+    taus = []
+    for k in range(-2, 3):
+        th = base + k * math.pi
+        if lo - 1e-12 <= th <= hi + 1e-12:
+            tau = (th - geometry.theta0) / geometry.dtheta
+            taus.append(min(1.0, max(0.0, tau)))
+    return sorted(set(taus))
+
+
+def _t_of_orthogonality(contour, tau):
+    v1, v2 = (float(x) for x in contour.velocity(tau))
+    return v1 / (v1 - v2)
+
+
+def branch_tau_at(branch, t):
+    """Parameter of a branch's orthogonal hit at t, or NaN outside its domain.
+
+    Arcs take the smallest :func:`arc_taus_of_t` inside the branch window;
+    sampled contours solve t(tau) = t by brentq over the whole branch.
+    """
+    if branch.kind == "constant":
+        return math.nan
+    lo, hi = branch.t_min, branch.t_max
+    if t < lo - 1e-12 or t > hi + 1e-12:
+        return math.nan
+    t = min(max(t, lo), hi)
+    if branch.contour.is_analytic:
+        for tau in arc_taus_of_t(branch.contour.geometry, t):
+            if branch.tau_lo - 1e-9 <= tau <= branch.tau_hi + 1e-9:
+                return min(max(tau, branch.tau_lo), branch.tau_hi)
+        return math.nan
+    f = lambda x: _t_of_orthogonality(branch.contour, x) - t
+    fa, fb = f(branch.tau_lo), f(branch.tau_hi)
+    if fa == 0.0:
+        return branch.tau_lo
+    if fb == 0.0:
+        return branch.tau_hi
+    if fa * fb > 0:
+        return math.nan
+    return float(brentq(f, branch.tau_lo, branch.tau_hi, xtol=1e-13))
+
+
+def branch_hit(branch, t):
+    """(tau, (x, y), w) of the branch's hit at t, all NaN without one; w = x (1-t) + y t."""
+    tau = branch_tau_at(branch, t)
+    if math.isnan(tau):
+        return math.nan, (math.nan, math.nan), math.nan
+    x, y = (float(v) for v in branch.contour.point(tau))
+    return tau, (x, y), x * (1.0 - t) + y * t
+
+
+def osculating_circle(contour, tau, floor=1e-9):
+    """(signed radius, (cx, cy)) at tau, or None where the curvature is below ``floor``.
+
+    The center sits |v|^2 / (v x a) along the left normal (-v2, v1); the
+    radius is positive when the point lies right of the center in x.
+    """
+    v1, v2 = (float(x) for x in contour.velocity(tau))
+    a1, a2 = (float(x) for x in contour.acceleration(tau))
+    px, py = (float(x) for x in contour.point(tau))
+    cross = v1 * a2 - v2 * a1
+    speed2 = v1 * v1 + v2 * v2
+    if abs(cross) < floor * speed2 ** 1.5:
+        return None
+    scale = speed2 / cross
+    cx, cy = px - v2 * scale, py + v1 * scale
+    radius = math.hypot(px - cx, py - cy)
+    return (radius if px > cx else -radius), (cx, cy)
+
+
+def condition_values(w, circles, t):
+    """(equal projection, equal radius, angle derivative) conditions of two hits at t.
+
+    ``w`` holds the two projections and ``circles`` the two
+    :func:`osculating_circle` results; the last two conditions are NaN where
+    either circle is None.
+    """
+    projection = w[0] - w[1]
+    if None in circles:
+        return projection, math.nan, math.nan
+    (l1, (x1, y1)), (l2, (x2, y2)) = circles
+    theta = math.atan2(t, 1.0 - t)
+    angle = (math.cos(theta) - math.sin(theta)) * (l1 - l2) - ((y1 - y2) - (x1 - x2))
+    return projection, l1 - l2, angle
+
+
+def gap_ratio_value(w, ratio):
+    """(w_i - w_j) - ratio (w_k - w_l) for the projections of four hits."""
+    return (w[0] - w[1]) - ratio * (w[2] - w[3])

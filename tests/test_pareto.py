@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -27,8 +29,16 @@ from cmdist import (
     t_of_orthogonality,
 )
 
-from cmdist.pareto import _BranchTables, _scan_roots
+from cmdist.pareto import (
+    _BranchTables,
+    _angle_derivative,
+    _equal_projection,
+    _equal_radius,
+    _gap_ratio,
+    _scan_roots,
+)
 
+import oracles
 from conftest import get_fixture
 from test_acceptance import _branch_pool
 
@@ -167,6 +177,24 @@ def test_orthogonality_certificate_on_spline_contours(tmp_path, sphere_contours)
                 dot = abs(v[0] * (1 - t) + v[1] * t)
                 norm = math.hypot(*v) * math.hypot(1 - t, t)
                 assert dot / norm <= 1e-8
+
+
+def test_hits_on_both_sides_of_an_inflection():
+    # both hits fall in one cell of a 4x refinement of the sample grid, next to
+    # the inflection where the orthogonality profile peaks
+    xs = np.linspace(0.0, 1.0, 33)
+    ys = 2.0 - xs - 0.05 * np.sin(2 * math.pi * (xs + 0.1))
+    c = Contour(np.column_stack([xs, ys]), "inflected", "test")
+    tau_c = [b for b in contour_branches(c) if b.kind == "monotone"][0].tau_hi
+    t = t_of_orthogonality(c, tau_c) - 1e-7
+    hits = orthogonal_intersections(c, t)
+    assert len(hits) == 2
+    assert hits[0][0] < tau_c < hits[1][0]
+    predicted = position_predict([c], t)
+    for tau, _p, w in hits:
+        v = c.velocity(tau)
+        assert abs(v[0] * (1 - t) + v[1] * t) / (math.hypot(*v) * math.hypot(1 - t, t)) <= 1e-8
+        assert min(abs(w - x) for x in predicted) <= 1e-9
 
 
 def test_position_predict_sphere(sphere_contours):
@@ -424,32 +452,69 @@ def _table_cases(tmp_path):
     yield "bumpy", contour_branches(Contour(bumpy, "bumpy", "test"))
 
 
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 def test_branch_tables_match_the_scalar_routines(tmp_path):
+    # tables and one-element calls against the math references in tests/oracles.py
+    conditions = (_equal_projection, _equal_radius, _angle_derivative)
     for name, branches in _table_cases(tmp_path):
         mono = [b for b in branches if b.kind == "monotone"]
         tables = _BranchTables(mono, 257)
+        refs = []  # per branch and grid t: reference w and osculating circle
         for i, b in enumerate(mono):
-            ell, cx, cy = tables.osc(i)
+            hits = tables.hits[i]
             margin = 1e-9 + 1e-6 * (b.t_max - b.t_min)
             raised = False
+            refs.append([])
             for idx, t in enumerate(tables.ts.tolist()):
-                p = b.point_at(t)
-                if np.isnan(tables.w[i][idx]):
-                    # the scalar may only hit where the grid leaves a margin at the branch ends
-                    assert np.isnan(p).all() or not b.t_min + margin <= t <= b.t_max - margin, (name, i, t)
+                tau, p, w = oracles.branch_hit(b, t)
+                circle = None if math.isnan(tau) else oracles.osculating_circle(b.contour, tau)
+                refs[i].append((w, circle))
+                if idx % 4 == 0:  # one-element calls on a subset of the grid
+                    assert _same(b.tau_at(t), tau), (name, i, t)
+                    assert all(map(_same, b.point_at(t).tolist(), p)), (name, i, t)
+                    assert _same(b.w_at(t), w), (name, i, t)
+                if not b.t_min + margin <= t <= b.t_max - margin:
+                    assert np.isnan(hits.tau[idx]), (name, i, t)  # the grid leaves a margin at the ends
                     continue
-                assert (tables.px[i][idx], tables.py[i][idx]) == (p[0], p[1]), (name, i, t)
-                assert tables.w[i][idx] == b.w_at(t), (name, i, t)
-                try:
-                    osc = b.osculating_at(t)
-                except ContourError:
+                assert _same(hits.tau[idx], tau), (name, i, t)
+                assert all(map(_same, hits.p[idx].tolist(), p)) and _same(hits.w[idx], w), (name, i, t)
+                if math.isnan(tau):
+                    continue
+                row = np.array([hits.ell[idx], hits.cx[idx], hits.cy[idx]])
+                if circle is None:
+                    assert np.isnan(row).all(), (name, i, t)
+                elif np.isnan(row).all():
+                    with pytest.raises(ContourError, match="unstable"):
+                        osculating(b.contour, tau)
                     raised = True
-                    osc = None
-                if osc is None or osc.signed_radius is None:
-                    assert np.isnan([ell[idx], cx[idx], cy[idx]]).all(), (name, i, t)
                 else:
-                    assert (ell[idx], cx[idx], cy[idx]) == (osc.signed_radius, *osc.center), (name, i, t)
-            assert tables.unstable[i] == raised, (name, i)
+                    ell, center = circle
+                    assert np.max(np.abs(row - [ell, *center])) <= 1e-12, (name, i, t)
+            assert hits.unstable == raised, (name, i)
+        for i, j in itertools.combinations(range(len(mono)), 2):
+            grid = [tables.evaluate(fn, (i, j))[0] for fn in conditions]
+            for idx, t in enumerate(tables.ts.tolist()):
+                (wi, ci), (wj, cj) = refs[i][idx], refs[j][idx]
+                reference = oracles.condition_values((wi, wj), (ci, cj), t)
+                checks = [(g[idx], ref) for g, ref in zip(grid, reference)]
+                if idx % 32 == 0:
+                    checks += [(float(tables.evaluate(fn, (i, j), t)[0][0]), ref)
+                               for fn, ref in zip(conditions, reference)]
+                for k, (value, ref) in enumerate(checks):
+                    if np.isnan(value):
+                        continue
+                    if k % 3 == 0:  # projections are exact
+                        assert value == ref, (name, i, j, t)
+                    else:
+                        assert abs(value - ref) <= 1e-11, (name, i, j, t)
+        if len(mono) >= 4:
+            quad = (0, 1, 2, 3)
+            grid = tables.evaluate(functools.partial(_gap_ratio, ratio=-0.5), quad)[0]
+            for idx in np.flatnonzero(~np.isnan(grid)).tolist():
+                assert grid[idx] == oracles.gap_ratio_value([refs[m][idx][0] for m in quad], -0.5)
     assert any(tables.unstable)  # the bumpy contour, last, exercises the stability mask
 
 
