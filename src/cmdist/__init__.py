@@ -16,7 +16,6 @@ from .complexes import (
     VertexFunction,
     fixture,
     load_complex,
-    lower_star_filtration,
     save_complex,
 )
 from .convex import (
@@ -67,6 +66,7 @@ from .persistence import (
     compute_pairing,
     compute_persistence,
     lower_star_diagram,
+    lower_star_filtration,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Triangulated 2-complexes, vertex data, lower-star filtrations and built-in surfaces.
+"""Triangulated 2-complexes, vertex data, explicit filtrations and built-in surfaces.
 
 A complex is a plain container of vertex positions, edges and triangles,
 closed under taking faces and immutable after construction.  Scalar data
@@ -25,10 +25,20 @@ class MeshError(ValueError):
     """Raised for malformed mesh/values input or broken complex invariants."""
 
 
-def _face_codes(triangles: np.ndarray, n: int) -> np.ndarray:
-    """(nt, 3) edge codes ``a*n + b`` of each sorted triangle's faces (a, b), (a, c), (b, c)."""
-    a, b, c = triangles.T
-    return np.column_stack([a * n + b, a * n + c, b * n + c])
+_FACE_LO, _FACE_HI = [0, 0, 1], [1, 2, 2]  # columns of a sorted triangle's faces (a, b), (a, c), (b, c)
+
+
+def _face_rows(edges: np.ndarray, triangles: np.ndarray, n: int) -> np.ndarray:
+    """(nt, 3) rows of ``edges`` holding each sorted triangle's faces, or -1 where one is missing.
+
+    Rows of both arrays are sorted and the edges are distinct; faces are
+    matched by the edge code ``a*n + b``.
+    """
+    codes = edges[:, 0] * n + edges[:, 1]
+    faces = triangles[:, _FACE_LO] * n + triangles[:, _FACE_HI]
+    by_code = np.append(np.argsort(codes), -1)
+    rows = by_code[np.searchsorted(codes, faces, sorter=by_code[:-1])]
+    return np.where(np.append(codes, -1)[rows] == faces, rows, -1)
 
 
 @dataclass(frozen=True)
@@ -37,11 +47,15 @@ class SimplicialComplex:
 
     Rows of ``edges``/``triangles`` are sorted ascending, the arrays are
     duplicate-free, and every edge of every triangle is present.
+    ``triangle_edges`` holds the rows of ``edges`` that are each triangle's
+    faces (a, b), (a, c), (b, c); validation finds them, and they are
+    read-only, so evaluations on several threads can share them.
     """
 
     vertices: np.ndarray   # (nv, 3) float64
     edges: np.ndarray      # (ne, 2) int64, rows sorted
     triangles: np.ndarray  # (nt, 3) int64, rows sorted
+    triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)  # (nt, 3)
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -65,14 +79,17 @@ class SimplicialComplex:
         rows = triangles[np.lexsort(triangles.T[::-1])]
         if np.any((rows[1:] == rows[:-1]).all(axis=1)):
             raise MeshError("duplicate triangles")
-        faces = _face_codes(triangles, n).ravel()  # in triangle order, then (a, b), (a, c), (b, c)
-        missing = np.flatnonzero(np.append(codes, -1)[np.searchsorted(codes, faces)] != faces)
+        triangle_edges = _face_rows(edges, triangles, n)
+        missing = np.flatnonzero(triangle_edges.ravel() < 0)  # by triangle, then face
         if len(missing):
-            face = divmod(int(faces[missing[0]]), n)
+            t, j = divmod(int(missing[0]), 3)
+            face = (int(triangles[t, _FACE_LO[j]]), int(triangles[t, _FACE_HI[j]]))
             raise MeshError(f"triangle face {face} missing from edge set")
+        triangle_edges.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "triangle_edges", triangle_edges)
 
     @classmethod
     def from_triangles(cls, vertices, triangles, extra_edges=()) -> "SimplicialComplex":
@@ -93,20 +110,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
-
-    @cached_property
-    def triangle_edges(self) -> np.ndarray:
-        """(nt, 3) rows of ``edges`` holding each triangle's faces (a, b), (a, c), (b, c).
-
-        Computed once per complex and read-only, so evaluations on several
-        threads can share it; computing it twice gives the same array.
-        """
-        n, edges = len(self.vertices), self.edges
-        codes = edges[:, 0] * n + edges[:, 1]
-        sorter = np.argsort(codes)
-        out = sorter[np.searchsorted(codes, _face_codes(self.triangles, n), sorter=sorter)]
-        out.flags.writeable = False
-        return out
 
     @cached_property
     def edge_cofaces(self) -> np.ndarray | None:
@@ -196,67 +199,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-
-def _tie_break_keys(index_rows: np.ndarray, width: int) -> list[np.ndarray]:
-    """Columns of the descending vertex-index key, padded with -1.
-
-    Rows arrive sorted ascending, so the descending key is the reversed row.
-    Comparing simplices by (value, key) puts every face before its cofaces:
-    the key of a face is a lexicographic prefix of any coface key, and the
-    vertex with the larger index enters later among equal values.
-    """
-    rows = np.asarray(index_rows, dtype=np.int64)
-    if rows.ndim == 1:
-        rows = rows.reshape(-1, 1)
-    cols = [rows[:, j] for j in range(rows.shape[1] - 1, -1, -1)]
-    pad = np.full(len(rows), -1, dtype=np.int64)
-    cols.extend([pad] * (width - rows.shape[1]))
-    return cols
-
-
-def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Largest vertex value of each row of ``simplices``.
-
-    Column-wise ``np.maximum``: ``values[simplices].max(axis=1)`` gives the
-    same floats but is about ten times slower on rows of length 2 or 3.
-    """
-    out = values[simplices[:, 0]]
-    for c in range(1, simplices.shape[1]):
-        np.maximum(out, values[simplices[:, c]], out=out)
-    return out
-
-
-def lower_star_filtration(complex: SimplicialComplex, f: VertexFunction) -> Filtration:
-    """Filtration where each simplex enters at the max of its vertex values.
-
-    Equal values are ordered by the descending vertex-index key, so the
-    simplex whose largest vertex index is larger comes later; this keeps the
-    order deterministic on plateaus.
-    """
-    values = f.values if isinstance(f, VertexFunction) else np.asarray(f, dtype=np.float64)
-    if len(values) != complex.n_vertices:
-        raise MeshError("function length does not match vertex count")
-    nv, ne = complex.n_vertices, len(complex.edges)
-    all_values = np.concatenate([
-        values,
-        simplex_values(values, complex.edges),
-        simplex_values(values, complex.triangles),
-    ])
-    key_cols = [np.empty(len(all_values), np.int64) for _ in range(3)]
-    vk = _tie_break_keys(np.arange(nv), 3)
-    ek = _tie_break_keys(complex.edges, 3) if ne else [np.empty(0, np.int64)] * 3
-    tk = _tie_break_keys(complex.triangles, 3) if len(complex.triangles) else [np.empty(0, np.int64)] * 3
-    for j in range(3):
-        key_cols[j] = np.concatenate([vk[j], ek[j], tk[j]])
-    order = np.lexsort((key_cols[2], key_cols[1], key_cols[0], all_values))
-    rows: list[Simplex] = (
-        [(int(i),) for i in range(nv)]
-        + [tuple(e) for e in complex.edges.tolist()]
-        + [tuple(t) for t in complex.triangles.tolist()]
-    )
-    simplices = tuple(rows[i] for i in order)
-    return Filtration(simplices, all_values[order], _validate=False)
 
 
 # ---------------------------------------------------------------------------

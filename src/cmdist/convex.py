@@ -108,6 +108,30 @@ def lipschitz_constant(f: BiFunction, h: BiFunction) -> float:
     return lf + lh
 
 
+class _Curve:
+    """The curve g, evaluated at most once per t, with the best value so far.
+
+    ``values`` keeps the evaluations in order, and ties for the best value
+    go to the smaller t.
+    """
+
+    def __init__(self, f: BiFunction, h: BiFunction, k: int):
+        self.f, self.h, self.k = f, h, k
+        self.values: dict[float, float] = {}
+        self.best_t, self.best = 0.0, -math.inf
+
+    def __call__(self, t: float) -> float:
+        if t not in self.values:
+            g = self.values[t] = g_value(self.f, self.h, self.k, t)
+            if g > self.best or (g == self.best and t < self.best_t):
+                self.best, self.best_t = g, t
+        return self.values[t]
+
+    def result(self, mode: str, gap: float, note: str | None = None) -> CmdResult:
+        return CmdResult(self.best, self.best_t, gap, len(self.values), mode,
+                         tuple(self.values.items()), note)
+
+
 def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS) -> CmdResult:
     """Certified maximum of g over [0, 1] by Lipschitz branch-and-bound.
 
@@ -120,29 +144,12 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
     if eps <= 0:
         raise ValueError("eps must be positive")
     L = lipschitz_constant(f, h)
-
-    cache: dict[float, float] = {}
-    trace: list[tuple[float, float]] = []
-
-    def g(t: float) -> float:
-        if t not in cache:
-            cache[t] = g_value(f, h, k, t)
-            trace.append((t, cache[t]))
-        return cache[t]
-
-    best_t, best = 0.0, g(0.0)
-
-    def consider(t: float, value: float):
-        nonlocal best, best_t
-        if value > best or (value == best and t < best_t):
-            best, best_t = value, t
-
-    for t in (1.0, 0.5):
-        consider(t, g(t))
-    if math.isinf(best):
-        return CmdResult(math.inf, best_t, 0.0, len(trace), "branch-and-bound", tuple(trace))
-    if L == 0.0:  # g is constant: both families are single functions
-        return CmdResult(best, best_t, 0.0, len(trace), "branch-and-bound", tuple(trace))
+    g = _Curve(f, h, k)
+    for t in (0.0, 1.0, 0.5):
+        g(t)
+    # with L = 0 g is constant: both families are single functions
+    if math.isinf(g.best) or L == 0.0:
+        return g.result("branch-and-bound", 0.0)
 
     # heap of (-upper_bound, l, r, g(mid)); lexicographic order resolves ties
     # toward smaller t
@@ -151,35 +158,26 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
     while heap:
         neg_ub, l, r, gm = heapq.heappop(heap)
         ub = -neg_ub
-        if ub <= best + eps:
-            gap = max(ub - best, 0.0)
+        if ub <= g.best + eps:
+            gap = max(ub - g.best, 0.0)
             break
         for a, b in ((l, (l + r) / 2), ((l + r) / 2, r)):
-            m = (a + b) / 2
-            gm = g(m)
-            consider(m, gm)
+            gm = g((a + b) / 2)
             if math.isinf(gm):
-                return CmdResult(math.inf, m, 0.0, len(trace), "branch-and-bound", tuple(trace))
+                return g.result("branch-and-bound", 0.0)
             heapq.heappush(heap, (-(gm + L * (b - a) / 2), a, b, gm))
-    return CmdResult(best, best_t, gap, len(trace), "branch-and-bound", tuple(trace))
+    return g.result("branch-and-bound", gap)
 
 
 def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
     """Plain uniform sweep of g; certified only through the Lipschitz constant."""
     if n < 1:
         raise ValueError("grid needs at least one cell")
-    L = lipschitz_constant(f, h)
-    ts = np.linspace(0.0, 1.0, n + 1)
-    trace = []
-    best_t, best = 0.0, -math.inf
-    for t in ts:
-        gt = g_value(f, h, k, float(t))
-        trace.append((float(t), gt))
-        if gt > best:
-            best, best_t = gt, float(t)
-        if math.isinf(gt):
-            return CmdResult(math.inf, float(t), 0.0, len(trace), "grid", tuple(trace))
-    return CmdResult(best, best_t, L / (2 * n), len(trace), "grid", tuple(trace))
+    g = _Curve(f, h, k)
+    for t in np.linspace(0.0, 1.0, n + 1).tolist():
+        if math.isinf(g(t)):
+            return g.result("grid", 0.0)
+    return g.result("grid", lipschitz_constant(f, h) / (2 * n))
 
 
 def slice_function(f: BiFunction, s: SlicePoint) -> VertexFunction:
@@ -191,14 +189,12 @@ def slice_function(f: BiFunction, s: SlicePoint) -> VertexFunction:
     )
 
 
-def slice_grid(n_a: int = 11, n_b: int = 11,
-               a_range: tuple[float, float] = (0.1, 0.9),
-               b_range: tuple[float, float] = (-1.0, 1.0)) -> list[SlicePoint]:
-    """Rectangular grid of admissible slice parameters."""
+def slice_grid(n_a: int = 11, n_b: int = 11) -> list[SlicePoint]:
+    """Rectangular grid of admissible slice parameters: a in [0.1, 0.9], b in [-1, 1]."""
     if n_a < 1 or n_b < 1:
         raise ValueError("grid needs at least one point per axis")
-    avals = np.linspace(a_range[0], a_range[1], n_a)
-    bvals = np.linspace(b_range[0], b_range[1], n_b)
+    avals = np.linspace(0.1, 0.9, n_a)
+    bvals = np.linspace(-1.0, 1.0, n_b)
     return [SlicePoint(float(a), float(b)) for a in avals for b in bvals]
 
 

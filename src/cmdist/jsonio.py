@@ -1,4 +1,5 @@
-"""Deterministic JSON emission: fixed float formatting, insertion-ordered keys.
+"""Deterministic JSON emission: fixed float formatting, insertion-ordered keys,
+two-space indentation.
 
 Floats are written with 17 significant digits so emitted numbers re-parse
 to the exact same binary value; infinities are written as the string
@@ -19,15 +20,15 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int,)):
@@ -45,7 +46,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)!r}")
             out.append(f"{pad}{json.dumps(key)}: ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -55,7 +56,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:

@@ -28,7 +28,8 @@ from scipy.optimize import brentq
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
-from .convex import CmdResult, DEFAULT_EPS, cmd_maximize, g_value, lipschitz_constant
+# g_value is unused here but stays importable: perfbench/tracing.py wraps it on this module
+from .convex import DEFAULT_EPS, CmdResult, _Curve, cmd_maximize, g_value, lipschitz_constant  # noqa: F401
 
 CURVATURE_FLOOR = 1e-9
 DEDUP_T_TOL = 1e-8
@@ -37,6 +38,7 @@ _MAX_CONTOURS = 64
 _MAX_BRANCHES = 64
 _FLAT_TOL = 1e-8
 _POINT_TOL = 1e-9
+_T_GRID_SIZE = 257  # points of the t-grid that brackets special values
 
 CONDITIONS = (
     "endpoint-orthogonality",
@@ -171,6 +173,11 @@ class Contour:
                 f"regularity violation: contour {contour_id!r} has a vanishing tangent"
             )
 
+    @functools.cached_property
+    def branches(self) -> tuple[ContourBranch, ...]:
+        """:func:`contour_branches`, split once per contour; a tuple, so no caller can change it."""
+        return tuple(_split_at_inflections(self))
+
     @property
     def is_analytic(self) -> bool:
         return isinstance(self.geometry, _ArcGeometry)
@@ -283,7 +290,7 @@ def orthogonal_intersections(c: Contour, t: float) -> list[tuple[float, np.ndarr
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
-    taus = [b.tau_at(t) for b in contour_branches(c)]
+    taus = [b.tau_at(t) for b in c.branches]
     taus += [end for end in (0.0, 1.0) if abs(t_of_orthogonality(c, end) - t) <= 1e-9]
     out = []
     seen: list[float] = []
@@ -459,7 +466,10 @@ class ContourBranch:
 def contour_branches(c: Contour) -> list[ContourBranch]:
     """Split a contour at inflections into monotone branches; straight runs
     become constant branches carrying their single orthogonal direction."""
+    return list(c.branches)
 
+
+def _split_at_inflections(c: Contour) -> list[ContourBranch]:
     def make(tau_lo, tau_hi):
         t_lo = t_of_orthogonality(c, tau_lo)
         t_hi = t_of_orthogonality(c, tau_hi)
@@ -666,7 +676,7 @@ class _BranchTables:
         return values, hits
 
 
-def special_values(contours_phi, contours_psi, *, grid_size: int = 257) -> list[SpecialValue]:
+def special_values(contours_phi, contours_psi) -> list[SpecialValue]:
     """Candidate maximizer set for the pair of contour families.
 
     Always contains t = 0 and t = 1.  Adds endpoint-orthogonality values,
@@ -704,7 +714,7 @@ def special_values(contours_phi, contours_psi, *, grid_size: int = 257) -> list[
             add(t, "endpoint-orthogonality",
                 [{"contour": c.id, "tau": tau, "point": [float(p[0]), float(p[1])]}])
 
-    branches = [b for c in contours for b in contour_branches(c)]
+    branches = [b for c in contours for b in c.branches]
     if len(branches) > _MAX_BRANCHES:
         raise ContourError(
             f"too many contour branches ({len(branches)} > {_MAX_BRANCHES}): the sample "
@@ -723,7 +733,7 @@ def special_values(contours_phi, contours_psi, *, grid_size: int = 257) -> list[
                   "point": [float(p[0]), float(p[1])]}],
                 warnings=("zero-curvature",))
 
-    tables = _BranchTables(mono, grid_size)
+    tables = _BranchTables(mono, _T_GRID_SIZE)
     pairs = [(i, j) for i, j in itertools.combinations(range(len(mono)), 2)
              if tables.overlap(i, j)[0] < tables.overlap(i, j)[1] and not tables.coincident(i, j)]
     quads = [(i, j, k, l) for (i, j), (k, l) in itertools.combinations(pairs, 2)
@@ -853,14 +863,10 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
             ts.extend(_chebyshev_nodes(interval[0], interval[1]))
         else:
             ts.append(sv.t)
-    ts = sorted(set(min(max(t, 0.0), 1.0) for t in ts))
-    trace = []
-    best_t, best = 0.0, -math.inf
-    for t in ts:
-        g = g_value(f, h, k, t)
-        trace.append((t, g))
-        if g > best:
-            best, best_t = g, t
+    g = _Curve(f, h, k)
+    for t in sorted(set(min(max(t, 0.0), 1.0) for t in ts)):
+        g(t)
+    best = g.best
     if cross_check:
         reference = cmd_maximize(f, h, k, eps)
         finite = math.isfinite(best) and math.isfinite(reference.value)
@@ -869,6 +875,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
                 "bound minus the best special value")
     else:
         L = lipschitz_constant(f, h)
+        trace = list(g.values.items())
         (t0, g0), (tm, gm) = trace[0], trace[-1]
         bound = max([g0 + L * t0, gm + L * (1.0 - tm)]
                     + [(ga + gb + L * (tb - ta)) / 2
@@ -876,7 +883,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
         gap = max(bound - best, 0.0) if math.isfinite(best) else 0.0
         note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
                 "characterization puts the maximizer among them")
-    return CmdResult(best, best_t, gap, len(trace), "special-values", tuple(trace), note)
+    return g.result("special-values", gap, note)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +906,7 @@ def arc_contour(center, radii, theta_range, contour_id: str = "arc",
     return Contour(geo.point(taus), contour_id, provenance, geo)
 
 
-def analytic_contours(fixture_name: str, n_samples: int = 65) -> list[Contour]:
+def analytic_contours(fixture_name: str) -> list[Contour]:
     """Closed-form contours of the built-in closed surfaces under (x, z).
 
     For the sphere/ellipsoid the Pareto-critical set maps to the first- and
@@ -914,8 +921,7 @@ def analytic_contours(fixture_name: str, n_samples: int = 65) -> list[Contour]:
         )
     a, c = params if params else (1.0, 1.0)
     return [
-        arc_contour((0.0, 0.0), (a, c), (th0, th1), f"{fixture_name}:{tag}",
-                    fixture_name, n_samples)
+        arc_contour((0.0, 0.0), (a, c), (th0, th1), f"{fixture_name}:{tag}", fixture_name)
         for tag, th0, th1 in (("q1", 0.0, math.pi / 2), ("q3", math.pi, 1.5 * math.pi))
     ]
 
@@ -959,7 +965,7 @@ def load_contours(path) -> list[Contour]:
     return out
 
 
-def classify_pareto(fixture_name: str, point, tol: float = 1e-9) -> ParetoClassification | None:
+def classify_pareto(fixture_name: str, point) -> ParetoClassification | None:
     """Multiplier pair certifying Pareto criticality on a closed fixture, or None.
 
     A surface point qualifies when it lies on the y = 0 section with both
@@ -973,9 +979,9 @@ def classify_pareto(fixture_name: str, point, tol: float = 1e-9) -> ParetoClassi
     x, y, z = (float(v) for v in point)
     if abs((x / a) ** 2 + y ** 2 + (z / c) ** 2 - 1.0) > 1e-6:
         raise ContourError("point does not lie on the fixture surface")
-    if abs(y) > tol:
+    if abs(y) > _POINT_TOL:
         return None
-    if (x / a) * (z / c) < -tol:
+    if (x / a) * (z / c) < -_POINT_TOL:
         return None
     theta = math.atan2(z / c, x / a)
     lam1, lam2 = c * math.cos(theta), a * math.sin(theta)

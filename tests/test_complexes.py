@@ -223,6 +223,15 @@ def test_lower_star_plateau_order():
     assert filt.simplices == ((0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2))
 
 
+def test_lower_star_order_follows_each_vertex_with_its_lower_star():
+    # vertices ranked by (value, index): 2, 0, 1; each simplex keyed by its
+    # vertex ranks, largest first, so a vertex comes right before its lower star
+    cx = triangle_complex()
+    filt = lower_star_filtration(cx, VertexFunction([1.0, 1.0, 0.0]))
+    assert filt.simplices == ((2,), (0,), (0, 2), (1,), (1, 2), (0, 1), (0, 1, 2))
+    assert filt.values.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+
 def test_lower_star_is_valid_filtration_on_random_input():
     rng = np.random.default_rng(7)
     for ties in (False, True):

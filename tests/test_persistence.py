@@ -6,6 +6,7 @@ import pytest
 
 from cmdist import (
     Filtration,
+    MeshError,
     SimplicialComplex,
     VertexFunction,
     compute_pairing,
@@ -38,6 +39,18 @@ def test_tetrahedron_filtration_is_rejected():
             compute_persistence(filt, k)
     with pytest.raises(ValueError, match="dimension > 2"):
         compute_pairing(filt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_lower_star_values_are_rejected(bad):
+    cx, f = get_fixture("cone", 16)
+    values = f.at(0.3)
+    values[5] = bad
+    for k in (0, 1, 2):
+        with pytest.raises(MeshError, match="finite"):
+            lower_star_diagram(cx, values, k)
+    with pytest.raises(MeshError, match="finite"):
+        lower_star_filtration(cx, values)
 
 
 def _significant(dgm, threshold=0.05):
