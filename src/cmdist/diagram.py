@@ -5,7 +5,10 @@ infinite multiplicity and is represented by the :data:`DIAGONAL` sentinel in
 point-level computations.  The bottleneck distance binary-searches the
 sorted costs that some point-point or point-diagonal pair actually realizes,
 and tests each threshold with SciPy's bipartite matching on the two sides
-separately (Mendelsohn-Dulmage).  The value is always a realized cost, so
+separately (Mendelsohn-Dulmage).  When one side has no finite points, every
+finite point retires to the diagonal and the value is the largest half
+persistence, in closed form; only a call with finite points on both sides
+imports ``scipy.sparse.csgraph``.  The value is always a realized cost, so
 results are exact in float arithmetic and the oracles must agree with no
 tolerance.
 """
@@ -17,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 INF = math.inf
 
@@ -189,8 +190,12 @@ def _realized_bottleneck(f1: np.ndarray, f2: np.ndarray) -> float:
     Mendelsohn-Dulmage theorem one matching covers those of both diagrams iff
     one matching covers those of D1 and another those of D2.
     """
-    if not len(f1) and not len(f2):
-        return 0.0
+    if not len(f1) or not len(f2):  # every finite point, if any, retires to the diagonal
+        rest = f1 if len(f1) else f2
+        return float((rest[:, 1] - rest[:, 0]).max() / 2) if len(rest) else 0.0
+    from scipy.sparse import csr_matrix  # loaded by the first two-sided call only
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     h1 = (f1[:, 1] - f1[:, 0]) / 2
     h2 = (f2[:, 1] - f2[:, 0]) / 2
     pair = np.minimum(

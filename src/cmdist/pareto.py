@@ -11,7 +11,10 @@ equal-cost breakpoints of projected gaps, and osculating-circle
 coincidences.  That search tabulates every branch's hits as arrays over
 one shared t-grid.  Each special-value condition is one array function of
 those hits: it runs on the grid to bracket roots and on one-element arrays
-to polish them.
+to polish them.  Roots are polished by :func:`_brentq`, a pure-Python port
+of ``scipy.optimize.brentq`` that the tests check against SciPy's bit for
+bit, so importing this module loads no SciPy; sampled contours import
+SciPy's cubic spline when they are built.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
@@ -64,6 +65,64 @@ def _pairs(x, y) -> np.ndarray:
     out = np.empty(np.shape(x) + (2,))
     out[..., 0], out[..., 1] = x, y
     return out
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.ulp(1.0),
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in [a, b] by Brent's method, step for step as ``scipy.optimize.brentq``.
+
+    A port of SciPy's C routine with its defaults, float operations and errors:
+    ValueError when f(a) and f(b) have the same sign bit or a value is NaN,
+    RuntimeError after ``maxiter`` steps.  Each step calls ``f``, which costs
+    more than the step itself, so the port loses nothing to the C kernel.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to +-inf or NaN, and either bisects below
+                stry = math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +175,8 @@ class _SplineGeometry:
     """Cubic spline through the samples, parametrized uniformly on [0, 1]."""
 
     def __init__(self, samples: np.ndarray):
+        from scipy.interpolate import CubicSpline  # loaded by sampled contours only
+
         self.taus = np.linspace(0.0, 1.0, len(samples))
         self.spline = CubicSpline(self.taus, samples, axis=0, bc_type="not-a-knot")
 
@@ -414,7 +475,7 @@ class ContourBranch:
     def taus_at(self, ts) -> np.ndarray:
         """Parameter of the orthogonal hit at each t, NaN outside the branch domain.
 
-        Closed form on arcs.  On sampled contours, one brentq per t (xtol 1e-13)
+        Closed form on arcs.  On sampled contours, one Brent root per t (xtol 1e-13)
         over the branch, where the orthogonality profile is monotone.
         """
         ts = np.asarray(ts, dtype=np.float64)
@@ -437,8 +498,8 @@ class ContourBranch:
             elif t_b == t:
                 taus[k] = self.tau_hi
             elif (t_a - t) * (t_b - t) <= 0.0:
-                taus[k] = brentq(lambda x: t_of_orthogonality(c, x) - t,
-                                 self.tau_lo, self.tau_hi, xtol=1e-13)
+                taus[k] = _brentq(lambda x: t_of_orthogonality(c, x) - t,
+                                  self.tau_lo, self.tau_hi, xtol=1e-13)
         return taus
 
     def hits(self, ts) -> "_Hits":
@@ -493,7 +554,7 @@ def _split_at_inflections(c: Contour) -> list[ContourBranch]:
         if small[i] != small[i + 1]:
             cuts.append(float(grid[i + 1] if small[i + 1] else grid[i]))
         else:
-            cuts.append(float(brentq(cross_of, grid[i], grid[i + 1], xtol=1e-12)))
+            cuts.append(_brentq(cross_of, grid[i], grid[i + 1], xtol=1e-12))
     cuts.append(1.0)
     cuts = sorted(set(cuts))
     branches = []
@@ -621,11 +682,11 @@ def _chebyshev_nodes(lo: float, hi: float, n: int = 17) -> list[float]:
 
 
 def _scan_roots(fn, ts: np.ndarray, values: np.ndarray):
-    """Brackets where a sample is 0 or changes sign to the next, both not NaN, polished with brentq."""
+    """Brackets where a sample is 0 or changes sign to the next, both not NaN, polished with Brent's method."""
     a, b = values[:-1], values[1:]
     brackets = np.flatnonzero(~(np.isnan(a) | np.isnan(b)) & ((a == 0.0) | (a * b < 0)))
     roots = [float(ts[i]) if a[i] == 0.0
-             else float(brentq(fn, float(ts[i]), float(ts[i + 1]), xtol=1e-12)) for i in brackets]
+             else _brentq(fn, ts[i], ts[i + 1], xtol=1e-12) for i in brackets]
     if len(values) and values[-1] == 0.0:
         roots.append(float(ts[-1]))
     return roots

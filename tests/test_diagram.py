@@ -136,6 +136,22 @@ def test_result_is_a_candidate():
         assert value == 0.0 or value in candidate_costs(d1, d2)
 
 
+def test_one_sided_bottleneck_matches_bruteforce():
+    """One side without finite points: the closed form retires every finite point."""
+    rng = np.random.default_rng(303)
+    empty = dgm()
+    assert bottleneck_distance(empty, empty) == bottleneck_bruteforce(empty, empty) == 0.0
+    for trial in range(200):
+        d1 = random_diagram(rng)  # at most 6 points, so each pair stays within the brute-force limit
+        n_essential = sum(p.multiplicity for p in d1.points if p.is_essential)
+        births = np.round(rng.uniform(-2, 2, n_essential), 3).tolist()
+        essential_only = dgm(*[(b, INF) for b in births])
+        finite_only = dgm(*[(b, d) for b, d in d1.expanded() if d < INF])
+        for p, q in ((d1, essential_only), (finite_only, empty)):
+            for x, y in ((p, q), (q, p)):
+                assert bottleneck_distance(x, y) == bottleneck_bruteforce(x, y), trial
+
+
 def tied_diagram(rng, max_points, degree=0):
     """Coordinates on a 0.25 grid, so costs tie and points repeat."""
     pts = []

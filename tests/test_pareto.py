@@ -32,6 +32,7 @@ from cmdist import (
 from cmdist.pareto import (
     _BranchTables,
     _angle_derivative,
+    _brentq,
     _equal_projection,
     _equal_radius,
     _gap_ratio,
@@ -550,6 +551,43 @@ def test_scan_roots_brackets():
         grid = np.linspace(0.0, 1.0, len(values))
         interp = lambda t: float(np.interp(t, grid, values))
         assert _scan_roots(interp, grid, values) == _scan_roots_loop(interp, grid, values)
+
+
+def _root_or_error(solver, f, a, b, **kw):
+    try:
+        return "root", solver(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return "error", type(exc)
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    families = {
+        "polynomial": lambda c: lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3],
+        "trigonometric": lambda c: lambda x: math.sin(5 * c[0] * x + c[1]) + 0.5 * c[2],
+        "exponential": lambda c: lambda x: math.exp(3 * c[0] * x) - 2 * abs(c[1]) - 0.01,
+        "tanh": lambda c: lambda x: math.tanh(200 * c[0] * (x - c[1])) + 1e-3 * c[2],
+    }
+    rng = np.random.default_rng(909)
+    outcomes = set()
+    for name, family in families.items():
+        for _ in range(100):
+            f = family(rng.uniform(-1, 1, 4).tolist())
+            a = float(rng.uniform(-2, 1))
+            b = a + float(rng.uniform(1e-6, 3))
+            for xtol in (1e-12, 1e-13, 2e-12):
+                for maxiter in (100, 4):  # 4 steps leave most brackets unconverged
+                    want = _root_or_error(brentq, f, a, b, xtol=xtol, maxiter=maxiter)
+                    got = _root_or_error(_brentq, f, a, b, xtol=xtol, maxiter=maxiter)
+                    assert got == want, (name, a, b, xtol, maxiter)
+                    if want[0] == "root":
+                        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
+                    outcomes.add(want)
+    assert {kind for kind, _ in outcomes} == {"root", "error"}
+    assert {ValueError, RuntimeError} <= {value for _, value in outcomes}
+    nan_beyond = lambda x: math.nan if x > 0.5 else x - 0.7
+    assert _root_or_error(_brentq, nan_beyond, 0.0, 1.0) == ("error", ValueError)
+    assert _root_or_error(brentq, nan_beyond, 0.0, 1.0) == ("error", ValueError)
+    assert _brentq(lambda x: x, -1.0, 1.0) == brentq(lambda x: x, -1.0, 1.0)
 
 
 # --- special-value route for the distance ---------------------------------------------
