@@ -67,14 +67,18 @@ def _pairs(x, y) -> np.ndarray:
     return out
 
 
-def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.ulp(1.0),
-            maxiter: int = 100) -> float:
+_BRENT_RTOL = 4 * math.ulp(1.0)  # scipy.optimize.brentq's default rtol
+_BRENT_MAXITER = 100  # and its default maxiter
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
     """Root of ``f`` in [a, b] by Brent's method, step for step as ``scipy.optimize.brentq``.
 
-    A port of SciPy's C routine with its defaults, float operations and errors:
-    ValueError when f(a) and f(b) have the same sign bit or a value is NaN,
-    RuntimeError after ``maxiter`` steps.  Each step calls ``f``, which costs
-    more than the step itself, so the port loses nothing to the C kernel.
+    A port of SciPy's C routine with its default rtol and maxiter, its float
+    operations and its errors: ValueError when f(a) and f(b) have the same
+    sign bit or a value is NaN, RuntimeError after ``_BRENT_MAXITER`` steps.
+    Each step calls ``f``, which costs more than the step itself, so the port
+    loses nothing to the C kernel.
     """
     def value(x: float) -> float:
         fx = float(f(x))
@@ -91,14 +95,14 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.u
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -122,7 +126,7 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.u
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 # ---------------------------------------------------------------------------
