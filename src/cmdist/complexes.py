@@ -171,7 +171,10 @@ class BiFunction:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Simplices in a linear extension of the face order, with nondecreasing values."""
+    """Simplices in a linear extension of the face order, with nondecreasing values.
+
+    Each simplex is a vertex, an edge or a triangle.
+    """
 
     simplices: tuple[Simplex, ...]
     values: np.ndarray
@@ -188,6 +191,9 @@ class Filtration:
             raise MeshError("filtration values must be nondecreasing along the order")
         seen: dict[Simplex, int] = {}
         for i, s in enumerate(self.simplices):
+            if not 1 <= len(s) <= 3:
+                raise MeshError(f"simplex {s} has {len(s)} vertices; filtrations hold "
+                                "vertices, edges and triangles only")
             if s in seen:
                 raise MeshError(f"duplicate simplex {s} in filtration")
             if len(s) > 1:

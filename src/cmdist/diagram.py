@@ -2,19 +2,20 @@
 
 Points below the diagonal never occur; the diagonal itself is implicit with
 infinite multiplicity and is represented by the :data:`DIAGONAL` sentinel in
-point-level computations.  The bottleneck distance binary-searches the
-sorted costs that some point-point or point-diagonal pair actually realizes,
-and tests each threshold with SciPy's bipartite matching on the two sides
-separately (Mendelsohn-Dulmage).  When one side has no finite points, every
-finite point retires to the diagonal and the value is the largest half
-persistence, in closed form; only a call with finite points on both sides
-imports ``scipy.sparse.csgraph``.  The value is always a realized cost, so
-results are exact in float arithmetic and the oracles must agree with no
-tolerance.
+point-level computations.  The bottleneck distance splits the matching into
+the two sides separately (Mendelsohn-Dulmage): each side's least feasible
+cost comes from one pass of augmenting paths over the pairs cheaper than the
+point's own diagonal cost, raising the threshold exactly when a Hall
+violator forces it, and the value is the larger of the two.  When one side
+has no finite points, every finite point retires to the diagonal and the
+value is the largest half persistence, in closed form.  The module needs
+numpy only.  The value is always a realized cost, so results are exact in
+float arithmetic and the oracles must agree with no tolerance.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,7 +162,7 @@ def candidate_costs(d1: PersistenceDiagram, d2: PersistenceDiagram) -> list[floa
 
     The bottleneck distance of the pair is always an element of this list,
     or +inf.  :func:`bottleneck_distance` does not search this list, which
-    holds O(N^2) values that no pair realizes; it searches the realized costs.
+    holds O(N^2) values that no pair realizes; it visits realized costs only.
     """
     if d1.degree != d2.degree:
         raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
@@ -181,6 +182,106 @@ def _split(diagram: PersistenceDiagram):
     return np.array(finite, dtype=np.float64).reshape(-1, 2), sorted(infinite)
 
 
+def _cover_cost(h: np.ndarray, lam: float, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+                cost: np.ndarray) -> float:
+    """Smallest cost ``lam`` at which every row retires or is matched within ``lam``.
+
+    Row ``i`` retires when ``h[i] <= lam``; otherwise it needs a column of its
+    own among its edges of cost ``<= lam``.  ``rows``, ``cols`` and ``cost``
+    list the useful edges, those cheaper than their row's ``h``: a dearer edge
+    is usable only once the row may retire anyway.  With no edge a row can
+    only retire.
+
+    The search raises ``lam`` through realized values only, and each raise is
+    forced:
+
+    * The caller passes the starting ``lam``: the largest, over the rows, of
+      each row's cheapest option (its cheapest edge, else its ``h``).  Below
+      that some row has no option at all.
+    * At ``lam`` a matching is kept of the rows that do not retire.  For each
+      row left over, an alternating tree grows over the edges of cost
+      ``<= lam``.  If the tree reaches a free column, or a column held by a
+      row that may retire, the path is flipped and the row is covered.
+    * Otherwise the tree's rows ``T`` all need a column, every column they
+      reach is held by another row of ``T``, and so ``T`` reaches fewer
+      columns than it has rows.  Below the next value ``nu``, the least of
+      the rows' ``h`` and of their edges dearer than ``lam``, ``T`` gains no
+      column and loses no row to retirement, so no matching covers it at any
+      ``lam' < nu``.  ``nu`` is an ``h`` or an edge cost, and ``lam`` becomes
+      ``nu``; the tree stays valid and grows on.
+
+    Every value below the final ``lam`` is thus infeasible and the final
+    ``lam``, realized and feasible, is the least feasible cost.  The loops
+    are iterative; each tree scans every edge at most once.
+    """
+    order = np.lexsort((cost, rows))
+    start = np.searchsorted(rows[order], np.arange(len(h) + 1)).tolist()
+    cost, cols, h = cost[order].tolist(), cols[order].tolist(), h.tolist()
+    n = len(h)
+    row_of = [-1] * n_cols  # the row that holds each column
+    col_of = [-1] * n  # the column each row holds
+    for i in range(n):  # greedy matching at the starting lam
+        if h[i] > lam:
+            for k in range(start[i], start[i + 1]):
+                if cost[k] > lam:
+                    break
+                if row_of[cols[k]] < 0:
+                    row_of[cols[k]], col_of[i] = i, cols[k]
+                    break
+    seen = [-1] * n_cols  # root of the last tree that reached each column
+    via = [0] * n_cols  # the tree row that reached each column
+    nxt = [0] * n  # the first edge of each tree row not yet scanned
+    for root in range(n):
+        if col_of[root] >= 0 or h[root] <= lam:
+            continue
+        queue, head, dearer = [root], 0, []
+        nxt[root] = start[root]
+        low_h, low_row = h[root], root  # the tree row that retires first
+        end = -1  # a column that ends an augmenting path
+        while end < 0:
+            while head < len(queue) and end < 0:
+                i = queue[head]
+                head += 1
+                k, stop = nxt[i], start[i + 1]
+                while k < stop and cost[k] <= lam:
+                    j = cols[k]
+                    k += 1
+                    if seen[j] == root:
+                        continue
+                    seen[j], via[j] = root, i
+                    m = row_of[j]
+                    if m < 0 or h[m] <= lam:
+                        end = j
+                        break
+                    nxt[m] = start[m]
+                    queue.append(m)
+                    if h[m] < low_h:
+                        low_h, low_row = h[m], m
+                nxt[i] = k
+                if end < 0 and k < stop:
+                    heapq.heappush(dearer, (cost[k], i))
+            if end >= 0:
+                break
+            lam = min(low_h, dearer[0][0]) if dearer else low_h
+            if low_h <= lam:  # a tree row retires and frees its column
+                end = col_of[low_row]
+                break
+            while dearer and dearer[0][0] <= lam:
+                queue.append(heapq.heappop(dearer)[1])
+        if end < 0:  # the root itself retires
+            continue
+        if row_of[end] >= 0:
+            col_of[row_of[end]] = -1
+        while True:
+            i = via[end]
+            held = col_of[i]
+            row_of[end], col_of[i] = i, end
+            if i == root:
+                break
+            end = held
+    return lam
+
+
 def _realized_bottleneck(f1: np.ndarray, f2: np.ndarray) -> float:
     """Smallest realized cost at which the finite points admit a perfect matching.
 
@@ -188,37 +289,28 @@ def _realized_bottleneck(f1: np.ndarray, f2: np.ndarray) -> float:
     with the same float operations.  At ``lam``, points whose diagonal cost
     exceeds ``lam`` must be matched inside the graph ``{pair <= lam}``; by the
     Mendelsohn-Dulmage theorem one matching covers those of both diagrams iff
-    one matching covers those of D1 and another those of D2.
+    one matching covers those of D1 and another those of D2.  Each side's
+    condition is monotone in ``lam``, so the value is the larger of the two
+    sides' least feasible costs, found by :func:`_cover_cost`.  A pair cheaper
+    than the point's own diagonal cost ``h`` costs its L-infinity distance,
+    since ``max(h_p, h_q) >= h`` then loses the minimum; only such pairs are
+    edges.
     """
     if not len(f1) or not len(f2):  # every finite point, if any, retires to the diagonal
         rest = f1 if len(f1) else f2
         return float((rest[:, 1] - rest[:, 0]).max() / 2) if len(rest) else 0.0
-    from scipy.sparse import csr_matrix  # loaded by the first two-sided call only
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     h1 = (f1[:, 1] - f1[:, 0]) / 2
     h2 = (f2[:, 1] - f2[:, 0]) / 2
-    pair = np.minimum(
-        np.maximum(np.abs(f1[:, None, 0] - f2[None, :, 0]), np.abs(f1[:, None, 1] - f2[None, :, 1])),
-        np.maximum(h1[:, None], h2[None, :]),
-    )
-    costs = np.unique(np.concatenate([pair.ravel(), h1, h2]))
-
-    def covered(graph: np.ndarray, perm_type: str) -> bool:
-        return bool(np.all(maximum_bipartite_matching(csr_matrix(graph), perm_type=perm_type) >= 0))
-
-    def feasible(lam: float) -> bool:
-        allowed = pair <= lam
-        return covered(allowed[h1 > lam], "column") and covered(allowed[:, h2 > lam], "row")
-
-    lo, hi = 0, len(costs) - 1  # the largest cost retires every point to the diagonal
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(costs[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(costs[lo])
+    linf = f1[:, None, 0] - f2[None, :, 0]
+    gap = f1[:, None, 1] - f2[None, :, 1]
+    np.abs(linf, out=linf)
+    np.maximum(linf, np.abs(gap, out=gap), out=linf)
+    del gap
+    i, j = np.nonzero(linf < h1[:, None])
+    lam1 = _cover_cost(h1, float(np.minimum(h1, linf.min(axis=1)).max()), len(f2), i, j, linf[i, j])
+    i, j = np.nonzero(linf < h2)  # row-major, then grouped by column: no transposed scan
+    lam2 = _cover_cost(h2, float(np.minimum(h2, linf.min(axis=0)).max()), len(f1), j, i, linf[i, j])
+    return max(lam1, lam2)
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:

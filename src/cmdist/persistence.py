@@ -343,8 +343,6 @@ def _index_arrays(filtration: Filtration):
     """
     simplices = filtration.simplices
     size = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
-    if np.any((size < 1) | (size > 3)):
-        raise ValueError("filtrations of dimension > 2 are not supported")
     flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64, count=int(size.sum()))
     start = np.cumsum(size) - size
     vpos, epos, tpos = (np.flatnonzero(size == d) for d in (1, 2, 3))

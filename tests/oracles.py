@@ -3,7 +3,8 @@
 Deliberately naive: plain set-based boundary-matrix reduction with no
 clearing and no per-degree shortcuts, a bottleneck distance by binary
 search over the candidate grid with a direct quadratic matching check, one
-by enumerating every bijection, and scalar ``math`` versions of the contour
+by binary search over the realized costs with SciPy's bipartite matching,
+one by enumerating every bijection, and scalar ``math`` versions of the contour
 hits, osculating circles and special-value conditions.  Kept separate from
 the package so each route is computed twice by different code.
 """
@@ -11,7 +12,10 @@ the package so each route is computed twice by different code.
 import itertools
 import math
 
+import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 def naive_pairing(filtration):
@@ -171,6 +175,54 @@ def bottleneck_candidate_grid(d1, d2):
     f2 = [p for p in points2 if math.isfinite(p[1])]
     ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
     return max(ess, _finite_bottleneck(f1, f2, candidate_costs(d1, d2)))
+
+
+def bottleneck_scipy_matching(d1, d2):
+    """Bottleneck distance by binary search over the realized costs with SciPy matching.
+
+    The realized costs are every point-point pair cost and every half
+    persistence.  Each search step builds the dense threshold graph and runs
+    SciPy's bipartite matching twice, once per side (Mendelsohn-Dulmage).
+    Essential points match by sorted births; with no finite points on one
+    side the value is the other side's largest half persistence.
+    """
+    if d1.degree != d2.degree:
+        raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
+    points1, points2 = d1.expanded(), d2.expanded()
+    e1 = sorted(b for b, d in points1 if math.isinf(d))
+    e2 = sorted(b for b, d in points2 if math.isinf(d))
+    if len(e1) != len(e2):
+        return math.inf
+    ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
+    f1 = np.array([p for p in points1 if math.isfinite(p[1])], dtype=np.float64).reshape(-1, 2)
+    f2 = np.array([p for p in points2 if math.isfinite(p[1])], dtype=np.float64).reshape(-1, 2)
+    if not len(f1) or not len(f2):
+        rest = f1 if len(f1) else f2
+        return max(ess, float((rest[:, 1] - rest[:, 0]).max() / 2) if len(rest) else 0.0)
+
+    h1 = (f1[:, 1] - f1[:, 0]) / 2
+    h2 = (f2[:, 1] - f2[:, 0]) / 2
+    pair = np.minimum(
+        np.maximum(np.abs(f1[:, None, 0] - f2[None, :, 0]), np.abs(f1[:, None, 1] - f2[None, :, 1])),
+        np.maximum(h1[:, None], h2[None, :]),
+    )
+    costs = np.unique(np.concatenate([pair.ravel(), h1, h2]))
+
+    def covered(graph, perm_type):
+        return bool(np.all(maximum_bipartite_matching(csr_matrix(graph), perm_type=perm_type) >= 0))
+
+    def feasible(lam):
+        allowed = pair <= lam
+        return covered(allowed[h1 > lam], "column") and covered(allowed[:, h2 > lam], "row")
+
+    lo, hi = 0, len(costs) - 1  # the largest cost retires every point to the diagonal
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(costs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(ess, float(costs[lo]))
 
 
 def bottleneck_bruteforce(d1, d2, limit=12):

@@ -15,7 +15,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture
-from oracles import bottleneck_bruteforce, bottleneck_candidate_grid
+from oracles import bottleneck_bruteforce, bottleneck_candidate_grid, bottleneck_scipy_matching
 
 INF = math.inf
 
@@ -199,6 +199,47 @@ def test_chain_pair_has_no_recursion_or_time_cliff():
     elapsed = time.perf_counter() - start
     assert value == 1.0
     assert elapsed < 5.0
+
+
+def test_scipy_oracle_agreement_on_large_random_diagrams():
+    # Sizes the candidate-grid oracle cannot reach in time; finite points only,
+    # so that unequal essential counts do not end the search early.
+    rng = np.random.default_rng(707)
+    for trial in range(40):
+        d1 = random_diagram(rng, max_points=200, infinite_fraction=0.0)
+        d2 = random_diagram(rng, max_points=200, infinite_fraction=0.0)
+        assert bottleneck_distance(d1, d2) == bottleneck_scipy_matching(d1, d2), trial
+    for trial in range(40):
+        d1, d2 = (dgm(*[p for p in tied_diagram(rng, 200).expanded() if p[1] < INF])
+                  for _ in range(2))
+        assert bottleneck_distance(d1, d2) == bottleneck_scipy_matching(d1, d2), trial
+
+
+def test_scipy_oracle_agreement_on_noisy_fixtures():
+    rng = np.random.default_rng(808)
+    (cx1, f1), (cx2, f2) = get_fixture("sphere", 64), get_fixture("ellipsoid(2,1)", 64)
+    sizes = []
+    for t in (0.0, 0.3, 0.7, 1.0):
+        v1 = f1.at(t) + rng.uniform(-0.1, 0.1, size=cx1.n_vertices)
+        v2 = f2.at(t) + rng.uniform(-0.1, 0.1, size=cx2.n_vertices)
+        for k in (0, 1):
+            d1, d2 = lower_star_diagram(cx1, v1, k), lower_star_diagram(cx2, v2, k)
+            sizes.append(min(d1.total_multiplicity(), d2.total_multiplicity()))
+            assert bottleneck_distance(d1, d2) == bottleneck_scipy_matching(d1, d2), (t, k)
+    assert max(sizes) >= 100
+
+
+def test_mirrored_chain_pair_has_no_time_cliff():
+    # The L-infinity chain runs against the sort order of the births: a binary
+    # search with SciPy's bipartite matching took tens of seconds on this pair.
+    n = 300
+    d1 = dgm(*[(1 - i * 1e-4, 100.0 + 2 * i) for i in range(n)], (0.0, INF))
+    d2 = dgm(*[(1 + i * 1e-4, 101.0 + 2 * i) for i in range(n)], (0.5, INF))
+    start = time.perf_counter()
+    value = bottleneck_distance(d1, d2)
+    elapsed = time.perf_counter() - start
+    assert value == 1.0
+    assert elapsed < 2.0
 
 
 def test_metric_axioms_on_random_triples():

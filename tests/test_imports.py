@@ -64,9 +64,8 @@ def test_smooth_workloads_load_no_scipy(stages, stage):
     assert stages[stage] == []
 
 
-def test_two_sided_bottleneck_loads_csgraph(stages):
-    assert "scipy.sparse.csgraph" in stages["two-sided-bottleneck"]
-    assert "scipy.interpolate" not in stages["two-sided-bottleneck"]
+def test_two_sided_bottleneck_loads_no_scipy(stages):
+    assert stages["two-sided-bottleneck"] == []
 
 
 def test_sampled_contour_loads_interpolate(stages):

@@ -32,13 +32,13 @@ def test_unsupported_degree():
 
 
 def test_tetrahedron_filtration_is_rejected():
-    simplices = tuple(s for d in range(1, 5) for s in itertools.combinations(range(4), d))
-    filt = Filtration(simplices, np.arange(len(simplices), dtype=float))
-    for k in (0, 1, 2):
-        with pytest.raises(ValueError, match="dimension > 2"):
-            compute_persistence(filt, k)
-    with pytest.raises(ValueError, match="dimension > 2"):
-        compute_pairing(filt)
+    # Rejected at construction, so no persistence routine sees a simplex of
+    # another size; MeshError is a ValueError, as the routines raised before.
+    tetrahedron = tuple(s for d in range(1, 5) for s in itertools.combinations(range(4), d))
+    for simplices in (tetrahedron, ((0,), ())):
+        with pytest.raises(MeshError, match="vertices, edges and triangles only"):
+            Filtration(simplices, np.arange(len(simplices), dtype=float))
+    assert issubclass(MeshError, ValueError)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
