@@ -4,8 +4,16 @@ For two plane-valued vertex functions the scalar family is
 ``phi^t = (1-t)*phi1 + t*phi2`` and the target curve is
 ``g(t) = d_B(dgm_k(phi^t), dgm_k(psi^t))``.  The curve is Lipschitz with
 constant ``L = max|phi1-phi2| + max|psi1-psi2|``, which turns interval
-branch-and-bound into a certified global maximizer: an interval [l, r] can
-never exceed ``g(m) + L*(r-l)/2`` at its midpoint m.
+branch-and-bound into a certified global maximizer through the
+Piyavskii-Shubert envelope (Piyavskii 1972, Shubert 1972): for x in [l, r],
+
+    g(x) <= min(g(l) + L*(x-l), g(r) + L*(r-x)).
+
+The right-hand side rises with slope L from l and falls with slope L to r,
+so it peaks where the two lines cross, at
+``m = (l+r)/2 + (g(r) - g(l))/(2L)``, with value
+``ub = (g(l) + g(r) + L*(r-l))/2``.  Since ``|g(r) - g(l)| <= L*(r-l)``,
+the crossing lies in [l, r], so no value of g on [l, r] exceeds ``ub``.
 """
 
 from __future__ import annotations
@@ -132,12 +140,21 @@ class _Curve:
                          tuple(self.values.items()), note)
 
 
+def _envelope(l: float, gl: float, r: float, gr: float, L: float) -> float:
+    """Largest value the Lipschitz envelope of g(l) = gl, g(r) = gr allows on [l, r]."""
+    return (gl + gr + L * (r - l)) / 2
+
+
 def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS) -> CmdResult:
     """Certified maximum of g over [0, 1] by Lipschitz branch-and-bound.
 
-    Intervals carry the upper bound g(midpoint) + L*(width)/2; the interval
-    with the largest bound is split until the best evaluated value is within
-    ``eps`` of the global bound.  Ties prefer smaller t, so the result is
+    Starts from g(0) and g(1).  Each interval [l, r] carries the envelope
+    bound ``(g(l) + g(r) + L*(r-l))/2`` of the module docstring, and the
+    interval with the largest bound is split at the envelope's peak, so the
+    new value bounds both halves.  The search stops once the best evaluated
+    value is within ``eps`` of the largest bound, or once the interval with
+    the largest bound has no float inside it to split at; the gap is that
+    bound minus the best value.  Ties prefer smaller t, so the result is
     deterministic.  An infinite probe (mismatched essential classes) is
     returned immediately with a zero gap.
     """
@@ -145,39 +162,51 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
         raise ValueError("eps must be positive")
     L = lipschitz_constant(f, h)
     g = _Curve(f, h, k)
-    for t in (0.0, 1.0, 0.5):
-        g(t)
+    for t in (0.0, 1.0):
+        if math.isinf(g(t)):
+            return g.result("branch-and-bound", 0.0)
     # with L = 0 g is constant: both families are single functions
-    if math.isinf(g.best) or L == 0.0:
+    if L == 0.0:
         return g.result("branch-and-bound", 0.0)
 
-    # heap of (-upper_bound, l, r, g(mid)); lexicographic order resolves ties
-    # toward smaller t
-    heap = [(-(g(0.5) + L * 0.5), 0.0, 1.0, g(0.5))]
-    gap = 0.0
-    while heap:
-        neg_ub, l, r, gm = heapq.heappop(heap)
+    # heap of (-upper_bound, l, r); lexicographic order resolves ties toward
+    # smaller t
+    heap = [(-_envelope(0.0, g(0.0), 1.0, g(1.0), L), 0.0, 1.0)]
+    while True:
+        neg_ub, l, r = heapq.heappop(heap)
         ub = -neg_ub
         if ub <= g.best + eps:
-            gap = max(ub - g.best, 0.0)
             break
-        for a, b in ((l, (l + r) / 2), ((l + r) / 2, r)):
-            gm = g((a + b) / 2)
-            if math.isinf(gm):
-                return g.result("branch-and-bound", 0.0)
-            heapq.heappush(heap, (-(gm + L * (b - a) / 2), a, b, gm))
-    return g.result("branch-and-bound", gap)
+        gl, gr = g(l), g(r)
+        m = (l + r) / 2 + (gr - gl) / (2 * L)
+        if not l < m < r:  # rounding pushed the peak onto an end
+            m = (l + r) / 2
+            if not l < m < r:  # [l, r] holds no float between its ends
+                break
+        gm = g(m)
+        if math.isinf(gm):
+            return g.result("branch-and-bound", 0.0)
+        heapq.heappush(heap, (-_envelope(l, gl, m, gm, L), l, m))
+        heapq.heappush(heap, (-_envelope(m, gm, r, gr, L), m, r))
+    return g.result("branch-and-bound", max(ub - g.best, 0.0))
 
 
 def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
-    """Plain uniform sweep of g; certified only through the Lipschitz constant."""
+    """Plain uniform sweep of g; certified through the envelope over its cells.
+
+    The gap is the largest envelope bound of a cell, as in
+    :func:`cmd_maximize`, minus the best value; it is at most ``L/(2n)``.
+    """
     if n < 1:
         raise ValueError("grid needs at least one cell")
     g = _Curve(f, h, k)
     for t in np.linspace(0.0, 1.0, n + 1).tolist():
         if math.isinf(g(t)):
             return g.result("grid", 0.0)
-    return g.result("grid", lipschitz_constant(f, h) / (2 * n))
+    L = lipschitz_constant(f, h)
+    trace = list(g.values.items())
+    bound = max(_envelope(ta, ga, tb, gb, L) for (ta, ga), (tb, gb) in zip(trace, trace[1:]))
+    return g.result("grid", max(bound - g.best, 0.0))
 
 
 def slice_function(f: BiFunction, s: SlicePoint) -> VertexFunction:

@@ -29,8 +29,9 @@ import numpy as np
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
+from .convex import DEFAULT_EPS, CmdResult, _Curve, _envelope, cmd_maximize, lipschitz_constant
 # g_value is unused here but stays importable: perfbench/tracing.py wraps it on this module
-from .convex import DEFAULT_EPS, CmdResult, _Curve, cmd_maximize, g_value, lipschitz_constant  # noqa: F401
+from .convex import g_value  # noqa: F401
 
 CURVATURE_FLOOR = 1e-9
 DEDUP_T_TOL = 1e-8
@@ -915,7 +916,8 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     Degenerate families are sampled at 17 Chebyshev points of their
     interval.  Without ``cross_check`` the gap is the Lipschitz bound over
     the evaluated ``t``: between consecutive ``t_i < t_{i+1}`` no value of g
-    exceeds ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2``, and the ends of
+    exceeds the envelope bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of
+    :mod:`cmdist.convex`, and the ends of
     [0, 1] add ``g_0 + L*t_0`` and ``g_m + L*(1 - t_m)``.  With it, the gap
     is the proven branch-and-bound bound ``value + gap`` of
     :func:`cmd_maximize` minus the best special value, floored at 0.
@@ -943,7 +945,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
         trace = list(g.values.items())
         (t0, g0), (tm, gm) = trace[0], trace[-1]
         bound = max([g0 + L * t0, gm + L * (1.0 - tm)]
-                    + [(ga + gb + L * (tb - ta)) / 2
+                    + [_envelope(ta, ga, tb, gb, L)
                        for (ta, ga), (tb, gb) in zip(trace, trace[1:])])
         gap = max(bound - best, 0.0) if math.isfinite(best) else 0.0
         note = ("gap is the Lipschitz bound between the evaluated t; the special-value "

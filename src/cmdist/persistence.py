@@ -197,8 +197,10 @@ class _LowerStar:
         so a basin is connected as soon as it appears and edges inside a
         basin never merge two components.  The elder-rule union-find then
         runs over the basin minima and the edges between basins, in key
-        order.  Returns the one-step descent, the joins in key order, and
-        the dying basins, merging join positions and surviving basins.
+        order.  Only the first join between two basins can merge them, so
+        the later ones are dropped before the union-find.  Returns the
+        one-step descent, the first joins in key order, and the dying basins,
+        merging join positions and surviving basins.
         """
         n = len(self.values)
         lo, hi = self.lo, self.hi
@@ -208,7 +210,12 @@ class _LowerStar:
         basin = _basins(step, minima)
         joins = np.flatnonzero(basin[lo] != basin[hi])
         joins = joins[np.argsort(hi[joins] * n + lo[joins])]
-        dying, at, roots = _merge(len(minima), basin[lo[joins]], basin[hi[joins]])
+        bu, bv = basin[lo[joins]], basin[hi[joins]]
+        _, first = np.unique(np.minimum(bu, bv) * len(minima) + np.maximum(bu, bv),
+                             return_index=True)
+        first.sort()
+        joins = joins[first]
+        dying, at, roots = _merge(len(minima), bu[first], bv[first])
         return step, joins, self.order[minima], dying, at, roots
 
     def _dual_pass(self):

@@ -4,11 +4,13 @@ Deliberately naive: plain set-based boundary-matrix reduction with no
 clearing and no per-degree shortcuts, a bottleneck distance by binary
 search over the candidate grid with a direct quadratic matching check, one
 by binary search over the realized costs with SciPy's bipartite matching,
-one by enumerating every bijection, and scalar ``math`` versions of the contour
-hits, osculating circles and special-value conditions.  Kept separate from
-the package so each route is computed twice by different code.
+one by enumerating every bijection, the branch-and-bound that bounds each
+interval by its midpoint value alone, and scalar ``math`` versions of the
+contour hits, osculating circles and special-value conditions.  Kept
+separate from the package so each route is computed twice by different code.
 """
 
+import heapq
 import itertools
 import math
 
@@ -223,6 +225,46 @@ def bottleneck_scipy_matching(d1, d2):
         else:
             lo = mid + 1
     return max(ess, float(costs[lo]))
+
+
+def cmd_midpoint_bnb(f, h, k, eps):
+    """Certified maximum of g by branch-and-bound on midpoint bounds.
+
+    An interval [l, r] with midpoint m is bounded by ``g(m) + L*(r-l)/2``;
+    every split evaluates the midpoints of both halves.  Starts from g(0),
+    g(1) and g(0.5), and returns ``(value, argmax_t, gap, evaluations)``,
+    ties going to the smaller t.
+    """
+    from cmdist import g_value, lipschitz_constant
+
+    L = lipschitz_constant(f, h)
+    values = {}
+    best = [-math.inf, 0.0]  # value, t
+
+    def g(t):
+        if t not in values:
+            v = values[t] = g_value(f, h, k, t)
+            if (v, -t) > (best[0], -best[1]):
+                best[:] = v, t
+        return values[t]
+
+    def result(gap):
+        return best[0], best[1], gap, len(values)
+
+    for t in (0.0, 1.0, 0.5):
+        g(t)
+    if math.isinf(best[0]) or L == 0.0:
+        return result(0.0)
+    heap = [(-(g(0.5) + L * 0.5), 0.0, 1.0)]
+    while True:
+        neg_ub, l, r = heapq.heappop(heap)
+        if -neg_ub <= best[0] + eps:
+            return result(max(-neg_ub - best[0], 0.0))
+        for a, b in ((l, (l + r) / 2), ((l + r) / 2, r)):
+            gm = g((a + b) / 2)
+            if math.isinf(gm):
+                return result(0.0)
+            heapq.heappush(heap, (-(gm + L * (b - a) / 2), a, b))
 
 
 def bottleneck_bruteforce(d1, d2, limit=12):

@@ -21,6 +21,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture
+from oracles import cmd_midpoint_bnb
 
 
 def perturbed(f: BiFunction, rng, scale: float) -> BiFunction:
@@ -150,6 +151,7 @@ def test_cmd_infinite_when_essential_counts_differ(sphere64, disk64):
     result = cmd_maximize(f, h, 2, 1e-3)
     assert math.isinf(result.value)
     assert result.gap == 0.0
+    assert result.evaluations <= 2  # returns at one of the two ends
 
 
 def test_cmd_requires_positive_eps(cone64, disk64):
@@ -202,13 +204,49 @@ def test_pseudo_metric_axioms_at_low_resolution():
     assert dfh <= dfe + deh + 2 * eps
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("pair", [("cone", "disk"), ("sphere", "ellipsoid(2,1)"),
+                                  ("sphere", "ellipsoid(1.5,0.8)")], ids="-".join)
+def test_envelope_and_midpoint_bnb_bracket_each_other(pair, k):
+    _, f = get_fixture(pair[0], 16)
+    _, h = get_fixture(pair[1], 16)
+    for eps in (1e-2, 1e-3):
+        new = cmd_maximize(f, h, k, eps)
+        old_value, _t, old_gap, _n = cmd_midpoint_bnb(f, h, k, eps)
+        assert new.value <= old_value + old_gap, (pair, k, eps)
+        assert old_value <= new.value + new.gap, (pair, k, eps)
+        assert new.gap <= eps
+
+
+def test_flat_curve_needs_the_lipschitz_floor():
+    # g = 0 and L = 4: the envelope closes [0, 1] at width 2*eps/L, that is
+    # in 2048 cells of width 2^-11, whatever method is used
+    _, f = get_fixture("cone", 16)
+    _, h = get_fixture("disk", 16)
+    result = cmd_maximize(f, h, 0, 1e-3)
+    assert result.value == 0.0 and result.argmax_t == 0.0
+    assert result.evaluations == 2049
+
+
+def test_cmd_trace_is_deterministic():
+    _, f = get_fixture("sphere", 16)
+    _, h = get_fixture("ellipsoid(1.5,0.8)", 16)
+    first, second = cmd_maximize(f, h, 0, 1e-3), cmd_maximize(f, h, 0, 1e-3)
+    assert first.trace == second.trace and first == second
+
+
 def test_grid_scan_mode():
     _, f = get_fixture("cone", 16)
     _, h = get_fixture("disk", 16)
     result = grid_scan(f, h, 1, 64)
     assert result.mode == "grid"
     assert result.value >= 0.45
-    assert result.gap == lipschitz_constant(f, h) / 128
+    L = lipschitz_constant(f, h)
+    trace = result.trace
+    envelope = max((ga + gb + L * (tb - ta)) / 2
+                   for (ta, ga), (tb, gb) in zip(trace, trace[1:]))
+    assert result.gap == max(envelope - result.value, 0.0)
+    assert result.gap <= L / 128
 
 
 # --- slices -------------------------------------------------------------------

@@ -174,7 +174,8 @@ def test_degree0_basin_kernel_matches_union_find_on_noisy_fixtures(all_fixture_n
         for t in (0.0, 0.35, 1.0):
             smooth = f.at(t)
             noisy = smooth + rng.uniform(-0.1, 0.1, size=len(smooth))
-            for values in (smooth, noisy, np.round(noisy, 2)):
+            # rounding to one decimal leaves plateaus, where many joins link the same basins
+            for values in (smooth, noisy, np.round(noisy, 2), np.round(noisy, 1)):
                 got = diagram_multiset(lower_star_diagram(cx, values, 0))
                 assert got == _full_edge_union_find(cx, values), (name, t)
                 assert got == _degree0_oracle(cx, values), (name, t)
