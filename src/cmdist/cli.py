@@ -62,7 +62,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.degree not in (0, 1, 2):
             raise ValueError(f"degree must be 0, 1 or 2, got {self.degree}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.mode not in ("bnb", "special", "grid"):
             raise ValueError(f"unknown mode {self.mode!r}")

@@ -158,7 +158,7 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
     deterministic.  An infinite probe (mismatched essential classes) is
     returned immediately with a zero gap.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too: no bound ever closes within NaN
         raise ValueError("eps must be positive")
     L = lipschitz_constant(f, h)
     g = _Curve(f, h, k)

@@ -1,6 +1,11 @@
 """Persistence diagrams, the extended point metric, and the bottleneck distance.
 
-Points below the diagonal never occur; the diagonal itself is implicit with
+A diagram holds arrays: its finite points as one lexicographically sorted
+(n, 2) float64 array of (birth, death) rows, a point of multiplicity m as m
+equal rows, and the sorted births of its essential points.  The persistence
+passes build it with one ``lexsort`` and the bottleneck reads the arrays
+directly; the :class:`DiagramPoint` view with merged multiplicities is built
+only on demand.  Points below the diagonal never occur; the diagonal itself is implicit with
 infinite multiplicity and is represented by the :data:`DIAGONAL` sentinel in
 point-level computations.  The bottleneck distance splits the matching into
 the two sides separately (Mendelsohn-Dulmage): each side's least feasible
@@ -56,24 +61,75 @@ class DiagramPoint:
         return math.isinf(self.death)
 
 
-@dataclass(frozen=True)
 class PersistenceDiagram:
-    """Multiset of diagram points of one homology degree."""
+    """Multiset of diagram points of one homology degree, held as arrays.
 
-    degree: int
-    points: tuple[DiagramPoint, ...]
+    ``finite`` is an (n, 2) float64 array of the (birth, death) rows with
+    finite death, sorted lexicographically, a point of multiplicity m
+    written as m equal rows; ``essential`` holds the sorted births of the
+    points with death +inf.  Both arrays are read-only and the diagram is
+    immutable.  :attr:`points` and the other views are built on demand.
+    """
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, points):
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        merged: dict[tuple[float, float], int] = {}
-        for p in self.points:
-            key = (p.birth, p.death)
-            merged[key] = merged.get(key, 0) + p.multiplicity
-        pts = tuple(
-            DiagramPoint(b, d, m) for (b, d), m in sorted(merged.items())
-        )
-        object.__setattr__(self, "points", pts)
+        points = tuple(points)
+        rows = np.array([(p.birth, p.death) for p in points], dtype=np.float64).reshape(-1, 2)
+        rows = np.repeat(rows, [p.multiplicity for p in points], axis=0)
+        finite = np.isfinite(rows[:, 1])
+        self._set(degree, rows[finite, 0], rows[finite, 1], rows[~finite, 0])
+
+    @classmethod
+    def _from_arrays(cls, degree: int, births, deaths, essential) -> "PersistenceDiagram":
+        """Diagram of finite pairs and essential births, float64 arrays, without validation."""
+        self = object.__new__(cls)
+        self._set(degree, births, deaths, essential)
+        return self
+
+    def _set(self, degree, births, deaths, essential):
+        # stable sorts, so that of equal rows the first given comes first
+        order = np.lexsort((deaths, births))
+        finite = np.column_stack((births[order], deaths[order]))
+        essential = np.sort(essential, kind="stable")
+        finite.flags.writeable = essential.flags.writeable = False
+        self.__dict__.update(degree=degree, finite=finite, essential=essential)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PersistenceDiagram is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PersistenceDiagram is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, PersistenceDiagram):
+            return NotImplemented
+        return (self.degree == other.degree and np.array_equal(self.finite, other.finite)
+                and np.array_equal(self.essential, other.essential))
+
+    def __hash__(self):
+        # float hashes, so that 0.0 and -0.0 hash alike as they compare equal
+        return hash((self.degree, tuple(self.finite.ravel().tolist()),
+                     tuple(self.essential.tolist())))
+
+    def __repr__(self):
+        return f"PersistenceDiagram(degree={self.degree}, points={self.points!r})"
+
+    def _merged(self) -> list[tuple[float, float, int]]:
+        """(birth, death, multiplicity) of each distinct point, sorted by (birth, death)."""
+        essential = np.column_stack((self.essential, np.full(len(self.essential), INF)))
+        rows = np.concatenate([self.finite, essential])
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        first = np.flatnonzero(new)
+        counts = np.diff(np.append(first, len(rows)))
+        return [(b, d, m) for (b, d), m in zip(rows[first].tolist(), counts.tolist())]
+
+    @property
+    def points(self) -> tuple[DiagramPoint, ...]:
+        """The distinct points with their multiplicities, sorted by (birth, death)."""
+        return tuple(DiagramPoint(b, d, m) for b, d, m in self._merged())
 
     @classmethod
     def from_pairs(cls, degree: int, pairs) -> "PersistenceDiagram":
@@ -83,37 +139,30 @@ class PersistenceDiagram:
             b, d = pair[0], pair[1]
             m = pair[2] if len(pair) > 2 else 1
             pts.append(DiagramPoint(float(b), float(d), int(m)))
-        return cls(degree, tuple(pts))
+        return cls(degree, pts)
 
     def expanded(self) -> list[tuple[float, float]]:
         """Points with multiplicity written out."""
-        out: list[tuple[float, float]] = []
-        for p in self.points:
-            out.extend([(p.birth, p.death)] * p.multiplicity)
-        return out
+        return [(b, d) for b, d, m in self._merged() for _ in range(m)]
 
     def coordinates(self) -> list[float]:
         """All finite coordinates (births, and deaths when finite)."""
         out = []
-        for p in self.points:
-            out.append(p.birth)
-            if not p.is_essential:
-                out.append(p.death)
+        for b, d, _m in self._merged():
+            out.append(b)
+            if not math.isinf(d):
+                out.append(d)
         return out
 
     def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.points)
+        return len(self.finite) + len(self.essential)
 
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
             "points": [
-                {
-                    "birth": p.birth,
-                    "death": "inf" if p.is_essential else p.death,
-                    "multiplicity": p.multiplicity,
-                }
-                for p in self.points
+                {"birth": b, "death": "inf" if math.isinf(d) else d, "multiplicity": m}
+                for b, d, m in self._merged()
             ],
         }
 
@@ -124,7 +173,7 @@ class PersistenceDiagram:
             death = row["death"]
             death = INF if death == "inf" else float(death)
             pts.append(DiagramPoint(float(row["birth"]), death, int(row.get("multiplicity", 1))))
-        return cls(int(obj["degree"]), tuple(pts))
+        return cls(int(obj["degree"]), pts)
 
 
 def _pair_cost(p: tuple[float, float], q: tuple[float, float]) -> float:
@@ -173,13 +222,6 @@ def candidate_costs(d1: PersistenceDiagram, d2: PersistenceDiagram) -> list[floa
         cands.add(gap)
         cands.add(gap / 2)
     return sorted(cands)
-
-
-def _split(diagram: PersistenceDiagram):
-    finite, infinite = [], []
-    for b, d in diagram.expanded():
-        (infinite if math.isinf(d) else finite).append((b, d))
-    return np.array(finite, dtype=np.float64).reshape(-1, 2), sorted(infinite)
 
 
 def _cover_cost(h: np.ndarray, lam: float, n_cols: int, rows: np.ndarray, cols: np.ndarray,
@@ -321,9 +363,8 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     """
     if d1.degree != d2.degree:
         raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
-    f1, i1 = _split(d1)
-    f2, i2 = _split(d2)
-    if len(i1) != len(i2):
+    e1, e2 = d1.essential, d2.essential
+    if len(e1) != len(e2):
         return INF
-    inf_cost = max((abs(a[0] - b[0]) for a, b in zip(i1, i2)), default=0.0)
-    return max(inf_cost, _realized_bottleneck(f1, f2))
+    inf_cost = float(np.abs(e1 - e2).max()) if len(e1) else 0.0
+    return max(inf_cost, _realized_bottleneck(d1.finite, d2.finite))

@@ -19,13 +19,13 @@ Degrees 1 and 2 add the same contraction on the dual graph in reverse
 order: the triangles plus a ground node, the oldest, for the missing coface
 of a boundary edge.  Each triangle dies at its leading edge, the face
 without its lowest vertex, except the older of two triangles that share it;
-the union-find runs over the other edges that join two dual basins.  The
-finite degree-1 points are the dual merges, the degree-1 essentials the
-edges negative in neither pass, and the degree-2 essentials the dual roots
-other than the ground node.  This needs every edge in at most two
-triangles; on other complexes the triangle boundary columns, in key order,
-are reduced over the two-element field instead, with the same forward pass
-for the negative edges.
+the union-find runs over the first of the other edges that join each pair
+of dual basins.  The finite degree-1 points are the dual merges, the
+degree-1 essentials the edges negative in neither pass, and the degree-2
+essentials the dual roots other than the ground node.  This needs every
+edge in at most two triangles; on other complexes the triangle boundary
+columns, in key order, are reduced over the two-element field instead,
+with the same forward pass for the negative edges.
 
 An explicit :class:`Filtration` is converted once into index arrays: vertices
 numbered by filtration position, edges as pairs of vertex ordinals, and
@@ -85,6 +85,17 @@ def _merge(n_nodes, edge_u, edge_v):
             np.asarray(roots, dtype=np.int64))
 
 
+def _first_joins(bu, bv, n_basins):
+    """Positions of the first join of each unordered pair of basins, in order.
+
+    Only the first join between two basins can merge them; the later ones
+    are dropped before the union-find.
+    """
+    _, first = np.unique(np.minimum(bu, bv) * n_basins + np.maximum(bu, bv), return_index=True)
+    first.sort()
+    return first
+
+
 def _basins(step, roots):
     """Basin number of every node: the place of its root in ``roots``.
 
@@ -132,9 +143,7 @@ def _reduce_bit_columns(faces: np.ndarray):
 def _diagram(k, births, deaths, essential_births) -> PersistenceDiagram:
     """Degree-k diagram of finite pairs, without zero persistence, and essential classes."""
     keep = births < deaths
-    pairs = zip(births[keep].tolist(), deaths[keep].tolist())
-    essential = ((b, np.inf) for b in essential_births.tolist())
-    return PersistenceDiagram.from_pairs(k, chain(pairs, essential))
+    return PersistenceDiagram._from_arrays(k, births[keep], deaths[keep], essential_births)
 
 
 def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -211,9 +220,7 @@ class _LowerStar:
         joins = np.flatnonzero(basin[lo] != basin[hi])
         joins = joins[np.argsort(hi[joins] * n + lo[joins])]
         bu, bv = basin[lo[joins]], basin[hi[joins]]
-        _, first = np.unique(np.minimum(bu, bv) * len(minima) + np.maximum(bu, bv),
-                             return_index=True)
-        first.sort()
+        first = _first_joins(bu, bv, len(minima))
         joins = joins[first]
         dying, at, roots = _merge(len(minima), bu[first], bv[first])
         return step, joins, self.order[minima], dying, at, roots
@@ -234,9 +241,9 @@ class _LowerStar:
         the other coface of that edge or to the ground node, except the
         older of two triangles that share the prefix, which the younger
         joins; pointer jumping finds these dual basins, and the union-find
-        runs over the other edges that join two of them, in reverse key
-        order.  Returns the (edge, triangle) pairs and the triangles left as
-        roots.
+        runs over the first edge that joins each pair of them, in reverse
+        key order.  Returns the (edge, triangle) pairs and the triangles
+        left as roots.
         """
         cx, n = self.complex, len(self.values)
         nt = len(cx.triangles)
@@ -257,7 +264,10 @@ class _LowerStar:
         # leading edge, so the joins never include a leading edge
         joins = np.flatnonzero(basin[cof[:, 0]] != basin[cof[:, 1]])
         joins = joins[np.argsort(ekey[joins])[::-1]]
-        dying, at, left = _merge(len(roots), basin[cof[joins, 0]], basin[cof[joins, 1]])
+        bu, bv = basin[cof[joins, 0]], basin[cof[joins, 1]]
+        first = _first_joins(bu, bv, len(roots))
+        joins = joins[first]
+        dying, at, left = _merge(len(roots), bu[first], bv[first])
         pointing = np.flatnonzero(~is_root)
         pair_edges = np.concatenate([lead[pointing], joins[at]])
         pair_tris = np.concatenate([pointing, roots[dying]])

@@ -166,6 +166,13 @@ def test_exit_codes():
     assert main(["--help"]) == 0
 
 
+def test_nan_eps_is_rejected(capsys):
+    assert main(["cmd", "--fixture", "cone:16", "--fixture2", "disk:16", "--eps", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: eps must be positive\n"
+    assert captured.out == ""
+
+
 def test_missing_second_input():
     assert main(["bottleneck", "--fixture", "cone:16", "--degree", "0", "--t", "0.5"]) == 1
 

@@ -5,6 +5,7 @@ import pytest
 
 from cmdist import (
     BiFunction,
+    DiagramPoint,
     VertexFunction,
     bottleneck_distance,
     cmd_maximize,
@@ -154,11 +155,34 @@ def test_cmd_infinite_when_essential_counts_differ(sphere64, disk64):
     assert result.evaluations <= 2  # returns at one of the two ends
 
 
+def test_hot_path_builds_no_point_objects(monkeypatch):
+    """g_value and grid_scan keep diagrams as arrays from the passes to the bottleneck."""
+    built = []
+    original = DiagramPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(DiagramPoint, "__post_init__", counting)
+    DiagramPoint(0.0, 1.0)
+    assert len(built) == 1  # the counter sees a construction
+    rng = np.random.default_rng(12)
+    f = perturbed(get_fixture("sphere", 16)[1], rng, 0.1)
+    h = perturbed(get_fixture("ellipsoid(2,1)", 16)[1], rng, 0.1)
+    for k in (0, 1, 2):
+        for t in (0.0, 0.4, 1.0):
+            g_value(f, h, k, t)
+    grid_scan(f, h, 0, n=16)
+    assert len(built) == 1
+
+
 def test_cmd_requires_positive_eps(cone64, disk64):
     _, f = cone64
     _, h = disk64
-    with pytest.raises(ValueError, match="eps"):
-        cmd_maximize(f, h, 0, 0.0)
+    for eps in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            cmd_maximize(f, h, 0, eps)
 
 
 def test_certificate_soundness_against_dense_sweep():

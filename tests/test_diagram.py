@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -8,6 +9,7 @@ from cmdist import (
     DIAGONAL,
     DiagramPoint,
     PersistenceDiagram,
+    SimplicialComplex,
     bottleneck_distance,
     candidate_costs,
     lower_star_diagram,
@@ -66,6 +68,73 @@ def test_diagram_merges_duplicates():
         (0.0, 2.0, 1),
     ]
     assert d.total_multiplicity() == 3
+
+
+def test_array_model_views():
+    # repeated finite points, and an essential point sharing a finite point's birth
+    d = dgm((0.5, 2), (0, 1), (0, INF), (0, 1), (0, 2), degree=1)
+    assert d.finite.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [0.5, 2.0]]
+    assert d.essential.tolist() == [0.0]
+    assert d.points == (DiagramPoint(0.0, 1.0, 2), DiagramPoint(0.0, 2.0, 1),
+                        DiagramPoint(0.0, INF, 1), DiagramPoint(0.5, 2.0, 1))
+    assert d.expanded() == [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (0.0, INF), (0.5, 2.0)]
+    assert d.coordinates() == [0.0, 1.0, 0.0, 2.0, 0.0, 0.5, 2.0]
+    assert d.total_multiplicity() == 5
+    assert json.dumps(d.to_json()) == (
+        '{"degree": 1, "points": [{"birth": 0.0, "death": 1.0, "multiplicity": 2}, '
+        '{"birth": 0.0, "death": 2.0, "multiplicity": 1}, '
+        '{"birth": 0.0, "death": "inf", "multiplicity": 1}, '
+        '{"birth": 0.5, "death": 2.0, "multiplicity": 1}]}')
+    assert PersistenceDiagram.from_json(d.to_json()) == d
+
+
+def test_array_model_views_with_an_empty_side():
+    essential_only = dgm((0, INF), (-1, INF))
+    assert essential_only.finite.shape == (0, 2)
+    assert essential_only.essential.tolist() == [-1.0, 0.0]
+    assert essential_only.points == (DiagramPoint(-1.0, INF), DiagramPoint(0.0, INF))
+    assert essential_only.expanded() == [(-1.0, INF), (0.0, INF)]
+    assert essential_only.coordinates() == [-1.0, 0.0]
+    assert essential_only.total_multiplicity() == 2
+    assert json.dumps(essential_only.to_json()) == (
+        '{"degree": 0, "points": [{"birth": -1.0, "death": "inf", "multiplicity": 1}, '
+        '{"birth": 0.0, "death": "inf", "multiplicity": 1}]}')
+    finite_only = dgm((1, 3), (1, 3))
+    assert finite_only.essential.shape == (0,)
+    assert finite_only.points == (DiagramPoint(1.0, 3.0, 2),)
+    assert json.dumps(finite_only.to_json()) == (
+        '{"degree": 0, "points": [{"birth": 1.0, "death": 3.0, "multiplicity": 2}]}')
+    empty = dgm(degree=2)
+    assert (empty.points, empty.expanded(), empty.coordinates()) == ((), [], [])
+    assert empty.total_multiplicity() == 0
+    assert json.dumps(empty.to_json()) == '{"degree": 2, "points": []}'
+    for d in (essential_only, finite_only, empty):
+        assert PersistenceDiagram.from_json(d.to_json()) == d
+
+
+def test_built_and_pass_diagrams_compare_and_hash_alike():
+    # a path with values 0, 2, 0, 2, 0: three components born at 0, two dying at 2
+    path = SimplicialComplex(np.zeros((5, 3)), np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
+                             np.empty((0, 3), dtype=np.int64))
+    passes = lower_star_diagram(path, np.array([0.0, 2.0, 0.0, 2.0, 0.0]), 0)
+    built = dgm((0, INF), (0, 2), (0, 2))
+    assert passes == built
+    assert hash(passes) == hash(built)
+    assert passes != dgm((0, INF), (0, 2)) and passes != dgm((0, INF), (0, 2), (0, 2), degree=1)
+    assert dgm((-0.0, 1)) == dgm((0.0, 1)) and hash(dgm((-0.0, 1))) == hash(dgm((0.0, 1)))
+
+
+def test_diagram_is_immutable():
+    d = dgm((0, 1), (0, INF))
+    with pytest.raises(AttributeError):
+        d.degree = 1
+    with pytest.raises(AttributeError):
+        d.finite = np.zeros((0, 2))
+    with pytest.raises(ValueError):
+        d.finite[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        d.essential[0] = 0.5
+    assert d == dgm((0, 1), (0, INF))
 
 
 # --- bottleneck -------------------------------------------------------------

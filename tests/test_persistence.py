@@ -250,7 +250,7 @@ def test_dual_route_matches_references_on_fixtures(all_fixture_names):
             for t in (0.0, 0.3, 0.71, 1.0):
                 smooth = f.at(t)
                 noisy = smooth + rng.uniform(-0.1, 0.1, size=len(smooth))
-                for values in (smooth, noisy, np.round(noisy, 2)):
+                for values in (smooth, noisy, np.round(noisy, 2), np.round(noisy, 1)):
                     _assert_dual_route(cx, values, (name, resolution, t),
                                        oracle=resolution == 16)
 
