@@ -247,7 +247,7 @@ def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction):
         return cmd_maximize(f, h, config.degree, config.eps)
     if config.mode == "grid":
         na, _ = _parse_grid(config.grid)
-        return grid_scan(f, h, config.degree, max(na, 1))
+        return grid_scan(f, h, config.degree, na)
     c1 = _load_contour_set(config, 1)
     c2 = _load_contour_set(config, 2)
     return cmd_via_special_values(f, h, config.degree, c1, c2, eps=config.eps)

@@ -223,6 +223,26 @@ def _base_circle(sectors: int) -> np.ndarray:
     return np.column_stack([x, math.sqrt(2.0) * np.sin(theta), -x])
 
 
+def _fan(center: int, first: int, sectors: int) -> np.ndarray:
+    """Triangles (center, first + j, first + j + 1) around a ring of ``sectors`` vertices."""
+    j = np.arange(sectors, dtype=np.int64)
+    return np.column_stack([np.full(sectors, center, dtype=np.int64), first + j,
+                            first + (j + 1) % sectors])
+
+
+def _strips(rings: int, sectors: int) -> np.ndarray:
+    """Two triangles per quad between consecutive rings, the first ring starting at vertex 1.
+
+    Ring by ring and sector by sector, quad (a, b, b', a') between ring
+    starts a and b gives (a, b, b') and (a, b', a').
+    """
+    j = np.arange(sectors, dtype=np.int64)
+    jn = (j + 1) % sectors
+    a = 1 + sectors * np.arange(rings - 1, dtype=np.int64)[:, None]
+    b = a + sectors
+    return np.stack([a + j, b + j, b + jn, a + j, b + jn, a + jn], axis=-1).reshape(-1, 3)
+
+
 def _radial_triangulation(apex: np.ndarray, rings: int, sectors: int, ring_point) -> tuple[np.ndarray, np.ndarray]:
     """Fan-plus-quads triangulation of a surface ruled from ``apex`` to a circle.
 
@@ -232,19 +252,7 @@ def _radial_triangulation(apex: np.ndarray, rings: int, sectors: int, ring_point
     verts = [apex.reshape(1, 3)]
     for k in range(1, rings + 1):
         verts.append(ring_point(k))
-    vertices = np.vstack(verts)
-    tris = []
-    ring_start = lambda k: 1 + (k - 1) * sectors
-    for j in range(sectors):
-        jn = (j + 1) % sectors
-        tris.append((0, ring_start(1) + j, ring_start(1) + jn))
-    for k in range(1, rings):
-        a, b = ring_start(k), ring_start(k + 1)
-        for j in range(sectors):
-            jn = (j + 1) % sectors
-            tris.append((a + j, b + j, b + jn))
-            tris.append((a + j, b + jn, a + jn))
-    return vertices, np.asarray(tris, dtype=np.int64)
+    return np.vstack(verts), np.vstack([_fan(0, 1, sectors), _strips(rings, sectors)])
 
 
 def _cone(resolution: int):
@@ -293,19 +301,9 @@ def _uv_sphere(resolution: int, a: float = 1.0, c: float = 1.0):
     verts.append(np.array([[0.0, -1.0, 0.0]]))
     vertices = np.vstack(verts)
     south = len(vertices) - 1
-    start = lambda i: 1 + (i - 1) * sectors
-    tris = []
-    for j in range(sectors):
-        jn = (j + 1) % sectors
-        tris.append((0, start(1) + j, start(1) + jn))
-        tris.append((south, start(lat) + j, start(lat) + jn))
-    for i in range(1, lat):
-        p, q = start(i), start(i + 1)
-        for j in range(sectors):
-            jn = (j + 1) % sectors
-            tris.append((p + j, q + j, q + jn))
-            tris.append((p + j, q + jn, p + jn))
-    return vertices, np.asarray(tris, dtype=np.int64)
+    # the two polar fans interleaved, sector by sector
+    poles = np.stack([_fan(0, 1, sectors), _fan(south, south - sectors, sectors)], axis=1)
+    return vertices, np.vstack([poles.reshape(-1, 3), _strips(lat, sectors)])
 
 
 _ELLIPSOID_RE = re.compile(r"^ellipsoid\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")

@@ -13,14 +13,19 @@ each vertex points at its lowest earlier neighbour, and pointer jumping
 takes it to the minimum at the end of that descending path.  The path lies
 in every sublevel set that holds the vertex, so a basin is connected as
 soon as it appears, and the elder-rule union-find runs only over the edges
-that join two basins.  That pass is degree 0.
+that join two basins.  That pass is degree 0.  With a single local minimum,
+as on the smooth built-in surfaces, all vertices lie in one basin, no edge
+joins two basins and nothing merges: the diagram is that minimum's
+essential class alone, and the pass returns it without pointer jumping or
+a union-find.
 
 Degrees 1 and 2 add the same contraction on the dual graph in reverse
 order: the triangles plus a ground node, the oldest, for the missing coface
 of a boundary edge.  Each triangle dies at its leading edge, the face
 without its lowest vertex, except the older of two triangles that share it;
 the union-find runs over the first of the other edges that join each pair
-of dual basins.  The finite degree-1 points are the dual merges, the
+of dual basins, and is skipped in the same way when the ground node's is
+the only dual basin.  The finite degree-1 points are the dual merges, the
 degree-1 essentials the edges negative in neither pass, and the degree-2
 essentials the dual roots other than the ground node.  This needs every
 edge in at most two triangles; on other complexes the triangle boundary
@@ -85,17 +90,6 @@ def _merge(n_nodes, edge_u, edge_v):
             np.asarray(roots, dtype=np.int64))
 
 
-def _first_joins(bu, bv, n_basins):
-    """Positions of the first join of each unordered pair of basins, in order.
-
-    Only the first join between two basins can merge them; the later ones
-    are dropped before the union-find.
-    """
-    _, first = np.unique(np.minimum(bu, bv) * n_basins + np.maximum(bu, bv), return_index=True)
-    first.sort()
-    return first
-
-
 def _basins(step, roots):
     """Basin number of every node: the place of its root in ``roots``.
 
@@ -111,6 +105,33 @@ def _basins(step, roots):
     number = np.empty(len(step), dtype=np.int64)
     number[roots] = np.arange(len(roots))
     return number[step]
+
+
+def _basin_merges(step, roots, u, v, key):
+    """Elder-rule merges of the basins of ``step`` along the edges (u, v).
+
+    ``step`` and ``roots`` are as in :func:`_basins`, ``u`` and ``v`` hold the
+    end nodes of every edge, and ``key(edges)`` gives the sort key of the
+    given edges; the keys must be distinct.  The union-find runs over the
+    basins and the edges that join two of them, in key order.  Only the
+    first join between two basins can merge them, so the later ones are
+    dropped before it.  With one basin every edge lies inside it, so nothing
+    merges and the single root survives: that case returns at once, without
+    pointer jumping.  Returns the dying basins, the edges that merge them,
+    and the surviving basins, basins as places in ``roots``.
+    """
+    if len(roots) == 1:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, np.zeros(1, dtype=np.int64)
+    basin = _basins(step, roots)
+    bu, bv = basin[u], basin[v]
+    joins = np.flatnonzero(bu != bv)
+    joins = joins[np.argsort(key(joins))]
+    bu, bv = bu[joins], bv[joins]
+    _, first = np.unique(np.minimum(bu, bv) * len(roots) + np.maximum(bu, bv), return_index=True)
+    first.sort()
+    dying, at, left = _merge(len(roots), bu[first], bv[first])
+    return dying, joins[first[at]], left
 
 
 def _reduce_bit_columns(faces: np.ndarray):
@@ -196,6 +217,10 @@ class _LowerStar:
     def _edge_values(self, idx):
         return self.values[self.order[self.hi[idx]]]
 
+    def _edge_key(self, idx):
+        """Distinct integer of each edge, hi * n + lo, that sorts the edges in key order."""
+        return self.hi[idx] * len(self.values) + self.lo[idx]
+
     def _vertex_pass(self):
         """Forward pass: basin contraction, then union-find over basin joins.
 
@@ -206,24 +231,16 @@ class _LowerStar:
         so a basin is connected as soon as it appears and edges inside a
         basin never merge two components.  The elder-rule union-find then
         runs over the basin minima and the edges between basins, in key
-        order.  Only the first join between two basins can merge them, so
-        the later ones are dropped before the union-find.  Returns the
-        one-step descent, the first joins in key order, and the dying basins,
-        merging join positions and surviving basins.
+        order, through :func:`_basin_merges`.  Returns the one-step descent
+        by rank, the minima as vertices, then the dying minima, the edges
+        that merge them and the surviving minima, as places among the minima.
         """
         n = len(self.values)
         lo, hi = self.lo, self.hi
         step = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
         np.minimum.at(step, hi, lo)
         minima = np.flatnonzero(step == np.arange(n))
-        basin = _basins(step, minima)
-        joins = np.flatnonzero(basin[lo] != basin[hi])
-        joins = joins[np.argsort(hi[joins] * n + lo[joins])]
-        bu, bv = basin[lo[joins]], basin[hi[joins]]
-        first = _first_joins(bu, bv, len(minima))
-        joins = joins[first]
-        dying, at, roots = _merge(len(minima), bu[first], bv[first])
-        return step, joins, self.order[minima], dying, at, roots
+        return (step, self.order[minima], *_basin_merges(step, minima, lo, hi, self._edge_key))
 
     def _dual_pass(self):
         """Reverse pass: union-find on the dual graph, contracted along leading edges.
@@ -240,12 +257,12 @@ class _LowerStar:
         comes later.  So each triangle dies at its leading edge, joined to
         the other coface of that edge or to the ground node, except the
         older of two triangles that share the prefix, which the younger
-        joins; pointer jumping finds these dual basins, and the union-find
-        runs over the first edge that joins each pair of them, in reverse
-        key order.  Returns the (edge, triangle) pairs and the triangles
-        left as roots.
+        joins; pointer jumping finds these dual basins, and
+        :func:`_basin_merges` runs the union-find over the edges that join
+        them, in reverse key order.  Returns the (edge, triangle) pairs and
+        the triangles left as roots.
         """
-        cx, n = self.complex, len(self.values)
+        cx = self.complex
         nt = len(cx.triangles)
         node = np.arange(nt)
         rt = self.rank[cx.triangles]
@@ -255,23 +272,16 @@ class _LowerStar:
         other = np.where(cof[lead, 0] == node, cof[lead, 1], cof[lead, 0])
         is_root = ((np.append(lead, -1)[other] == lead)
                    & (np.append(rmin, -1)[other] < rmin))
-        ekey = self.hi * n + self.lo
         roots = np.flatnonzero(is_root)
         # the ground node, then the other roots oldest first: latest in key order
-        roots = np.append(nt, roots[np.lexsort((rmin[roots], ekey[lead[roots]]))[::-1]])
-        basin = _basins(np.append(np.where(is_root, node, other), nt), roots)
+        roots = np.append(nt, roots[np.lexsort((rmin[roots], self._edge_key(lead[roots])))[::-1]])
         # a pointing triangle shares its basin with the coface across its
         # leading edge, so the joins never include a leading edge
-        joins = np.flatnonzero(basin[cof[:, 0]] != basin[cof[:, 1]])
-        joins = joins[np.argsort(ekey[joins])[::-1]]
-        bu, bv = basin[cof[joins, 0]], basin[cof[joins, 1]]
-        first = _first_joins(bu, bv, len(roots))
-        joins = joins[first]
-        dying, at, left = _merge(len(roots), bu[first], bv[first])
+        dying, merges, left = _basin_merges(np.append(np.where(is_root, node, other), nt), roots,
+                                            cof[:, 0], cof[:, 1], lambda e: -self._edge_key(e))
         pointing = np.flatnonzero(~is_root)
-        pair_edges = np.concatenate([lead[pointing], joins[at]])
-        pair_tris = np.concatenate([pointing, roots[dying]])
-        return pair_edges, pair_tris, roots[left[1:]]
+        return (np.concatenate([lead[pointing], merges]),
+                np.concatenate([pointing, roots[dying]]), roots[left[1:]])
 
     def _reduction_pass(self):
         """Degrees 1-2 on any complex: the triangle columns reduced in key order.
@@ -298,17 +308,17 @@ class _LowerStar:
     # dgm0, dgm1 and dgm2 return the births and deaths of the finite pairs
     # and the births of the essential classes
     def dgm0(self):
-        _step, joins, minima, dying, at, roots = self._vertex_pass()
+        _step, minima, dying, merges, left = self._vertex_pass()
         births = self.values[minima]
-        return births[dying], self._edge_values(joins[at]), births[roots]
+        return births[dying], self._edge_values(merges), births[left]
 
     def dgm1(self):
-        step, joins, _minima, _dying, at, _roots = self._vertex_pass()
+        step, _minima, _dying, merges, _left = self._vertex_pass()
         pair_edges, pair_tris, _ = self._triangle_pass()
         # essential: negative in neither pass; the first kind of negative edge
         # is each non-minimum vertex's descending edge
         essential = self.lo != step[self.hi]
-        essential[joins[at]] = False
+        essential[merges] = False
         essential[pair_edges] = False
         return (self._edge_values(pair_edges), self._triangle_values(pair_tris),
                 self._edge_values(np.flatnonzero(essential)))

@@ -5,8 +5,9 @@ clearing and no per-degree shortcuts, a bottleneck distance by binary
 search over the candidate grid with a direct quadratic matching check, one
 by binary search over the realized costs with SciPy's bipartite matching,
 one by enumerating every bijection, the branch-and-bound that bounds each
-interval by its midpoint value alone, and scalar ``math`` versions of the
-contour hits, osculating circles and special-value conditions.  Kept
+interval by its midpoint value alone, scalar ``math`` versions of the
+contour hits, osculating circles and special-value conditions, and the
+fixture triangulations built one triangle at a time.  Kept
 separate from the package so each route is computed twice by different code.
 """
 
@@ -406,3 +407,51 @@ def condition_values(w, circles, t):
 def gap_ratio_value(w, ratio):
     """(w_i - w_j) - ratio (w_k - w_l) for the projections of four hits."""
     return (w[0] - w[1]) - ratio * (w[2] - w[3])
+
+
+def radial_triangulation_loops(apex, rings, sectors, ring_point):
+    """Fan-plus-quads triangulation from ``apex``, one Python tuple per triangle."""
+    vertices = np.vstack([apex.reshape(1, 3)] + [ring_point(k) for k in range(1, rings + 1)])
+    tris = []
+    ring_start = lambda k: 1 + (k - 1) * sectors
+    for j in range(sectors):
+        jn = (j + 1) % sectors
+        tris.append((0, ring_start(1) + j, ring_start(1) + jn))
+    for k in range(1, rings):
+        a, b = ring_start(k), ring_start(k + 1)
+        for j in range(sectors):
+            jn = (j + 1) % sectors
+            tris.append((a + j, b + j, b + jn))
+            tris.append((a + j, b + jn, a + jn))
+    return vertices, np.asarray(tris, dtype=np.int64)
+
+
+def uv_sphere_loops(resolution, a=1.0, c=1.0):
+    """Latitude/longitude sphere scaled to an ellipsoid, one Python tuple per triangle."""
+    sectors = resolution + (resolution % 2)
+    lat = max(3, (resolution // 2) | 1)
+    theta = 2.0 * np.pi * np.arange(sectors) / sectors
+    verts = [np.array([[0.0, 1.0, 0.0]])]
+    for i in range(1, lat + 1):
+        beta = np.pi * i / (lat + 1)
+        verts.append(np.column_stack([
+            a * np.sin(beta) * np.cos(theta),
+            np.full(sectors, np.cos(beta)),
+            c * np.sin(beta) * np.sin(theta),
+        ]))
+    verts.append(np.array([[0.0, -1.0, 0.0]]))
+    vertices = np.vstack(verts)
+    south = len(vertices) - 1
+    start = lambda i: 1 + (i - 1) * sectors
+    tris = []
+    for j in range(sectors):
+        jn = (j + 1) % sectors
+        tris.append((0, start(1) + j, start(1) + jn))
+        tris.append((south, start(lat) + j, start(lat) + jn))
+    for i in range(1, lat):
+        p, q = start(i), start(i + 1)
+        for j in range(sectors):
+            jn = (j + 1) % sectors
+            tris.append((p + j, q + j, q + jn))
+            tris.append((p + j, q + jn, p + jn))
+    return vertices, np.asarray(tris, dtype=np.int64)

@@ -173,6 +173,14 @@ def test_nan_eps_is_rejected(capsys):
     assert captured.out == ""
 
 
+def test_cmd_grid_mode_rejects_an_empty_grid(capsys):
+    assert main(["cmd", "--fixture", "cone:16", "--fixture2", "disk:16",
+                 "--mode", "grid", "--grid", "0x3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid needs at least one cell\n"
+    assert captured.out == ""
+
+
 def test_missing_second_input():
     assert main(["bottleneck", "--fixture", "cone:16", "--degree", "0", "--t", "0.5"]) == 1
 

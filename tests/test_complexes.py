@@ -10,6 +10,7 @@ from cmdist import (
     MeshError,
     SimplicialComplex,
     VertexFunction,
+    complexes,
     fixture,
     load_complex,
     lower_star_filtration,
@@ -17,6 +18,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture, random_complex, random_vertex_values
+from oracles import radial_triangulation_loops, uv_sphere_loops
 
 
 def write_minimal_off(tmp_path, off_text, values_text):
@@ -273,6 +275,26 @@ def test_ellipsoid_degenerate_parameters_match_sphere():
     ce, _ = get_fixture("ellipsoid(1,1)", 16)
     assert np.array_equal(cs.vertices, ce.vertices)
     assert np.array_equal(cs.triangles, ce.triangles)
+
+
+@pytest.mark.parametrize("resolution", [3, 4, 5, 16, 17, 64])
+def test_fixture_triangulations_match_the_loop_versions(monkeypatch, resolution):
+    """Vertex and triangle arrays byte-identical to the ones built a triangle at a time."""
+    builders = {"cone": lambda: complexes._cone(resolution),
+                "disk": lambda: complexes._disk(resolution),
+                "sphere": lambda: complexes._uv_sphere(resolution),
+                "ellipsoid(2,1)": lambda: complexes._uv_sphere(resolution, 2.0, 1.0),
+                "ellipsoid(1.5,0.8)": lambda: complexes._uv_sphere(resolution, 1.5, 0.8)}
+    got = {name: build() for name, build in builders.items()}
+    monkeypatch.setattr(complexes, "_radial_triangulation", radial_triangulation_loops)
+    expected = {"cone": complexes._cone(resolution), "disk": complexes._disk(resolution),
+                "sphere": uv_sphere_loops(resolution),
+                "ellipsoid(2,1)": uv_sphere_loops(resolution, 2.0, 1.0),
+                "ellipsoid(1.5,0.8)": uv_sphere_loops(resolution, 1.5, 0.8)}
+    for name in builders:
+        for new, old in zip(got[name], expected[name]):
+            assert (new.dtype, new.shape) == (old.dtype, old.shape), name
+            assert new.tobytes() == old.tobytes(), name
 
 
 def test_fixture_rejects_bad_input():

@@ -11,8 +11,10 @@ from cmdist import (
     VertexFunction,
     compute_pairing,
     compute_persistence,
+    g_value,
     lower_star_diagram,
     lower_star_filtration,
+    persistence,
 )
 
 from conftest import get_fixture, random_complex, random_vertex_values
@@ -288,6 +290,24 @@ def test_fin_on_cone_matches_naive_reduction():
             assert essentials[0] - essentials[1] + essentials[2] == fin.euler_characteristic()
 
 
+def _single_basin_inputs():
+    """Inputs on which a lower-star pass contracts everything into one basin.
+
+    A single vertex; one edge without a triangle, whose only dual basin is
+    the ground node; and plateaus on smooth fixtures: the disk at t = 1/2 is
+    constant, so both passes have one basin, and the rounded cone and
+    sphere keep one vertex basin.
+    """
+    no_triangles = np.empty((0, 3), dtype=np.int64)
+    vertex = SimplicialComplex(np.zeros((1, 3)), np.empty((0, 2), dtype=np.int64), no_triangles)
+    edge = SimplicialComplex(np.zeros((2, 3)), [[0, 1]], no_triangles)
+    yield "vertex", vertex, np.array([2.5])
+    yield "edge", edge, np.array([1.0, -1.0])
+    for name, t in (("disk", 0.5), ("cone", 0.0), ("sphere", 0.3)):
+        cx, f = get_fixture(name, 16)
+        yield name, cx, np.round(f.at(t), 1)
+
+
 def test_all_degrees_match_naive_full_reduction():
     rng = np.random.default_rng(23)
     for trial in range(30):
@@ -298,6 +318,28 @@ def test_all_degrees_match_naive_full_reduction():
         for k in (0, 1, 2):
             got = diagram_multiset(compute_persistence(filt, k))
             assert got == expected[k], f"degree {k} mismatch on trial {trial}"
+    for label, cx, values in _single_basin_inputs():
+        expected = naive_diagrams(lower_star_filtration(cx, VertexFunction(values)))
+        for k in (0, 1, 2):
+            assert diagram_multiset(lower_star_diagram(cx, values, k)) == expected[k], (label, k)
+
+
+def test_one_basin_returns_before_pointer_jumping(monkeypatch):
+    """With one basin nothing can merge, so the passes never reach _basins."""
+    pairs = [(get_fixture(a, 16)[1], get_fixture(b, 16)[1])
+             for a, b in (("cone", "disk"), ("sphere", "ellipsoid(2,1)"))]
+    ts = (0.0, 0.3, 1.0)
+    expected = [g_value(f, h, 0, t) for f, h in pairs for t in ts]
+    disk, d = get_fixture("disk", 16)
+    expected_disk = lower_star_diagram(disk, d.at(0.3), 1)
+
+    def no_pointer_jumping(step, roots):
+        raise AssertionError(f"pointer jumping over {len(roots)} basins")
+
+    monkeypatch.setattr(persistence, "_basins", no_pointer_jumping)
+    assert [g_value(f, h, 0, t) for f, h in pairs for t in ts] == expected
+    # the disk has one dual basin as well, so degree 1 skips both contractions
+    assert lower_star_diagram(disk, d.at(0.3), 1) == expected_disk
 
 
 def test_fast_path_matches_filtration_path(sphere64):
