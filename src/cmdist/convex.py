@@ -135,6 +135,14 @@ class _Curve:
                 self.best, self.best_t = g, t
         return self.values[t]
 
+    def gap(self, L: float) -> float:
+        """Largest envelope bound between consecutive evaluated t minus the best value, at least 0."""
+        if math.isinf(self.best):
+            return 0.0
+        ts = sorted(self.values)
+        bound = max(_envelope(l, self.values[l], r, self.values[r], L) for l, r in zip(ts, ts[1:]))
+        return max(bound - self.best, 0.0)
+
     def result(self, mode: str, gap: float, note: str | None = None) -> CmdResult:
         return CmdResult(self.best, self.best_t, gap, len(self.values), mode,
                          tuple(self.values.items()), note)
@@ -188,7 +196,7 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
             return g.result("branch-and-bound", 0.0)
         heapq.heappush(heap, (-_envelope(l, gl, m, gm, L), l, m))
         heapq.heappush(heap, (-_envelope(m, gm, r, gr, L), m, r))
-    return g.result("branch-and-bound", max(ub - g.best, 0.0))
+    return g.result("branch-and-bound", g.gap(L))
 
 
 def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
@@ -203,10 +211,7 @@ def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
     for t in np.linspace(0.0, 1.0, n + 1).tolist():
         if math.isinf(g(t)):
             return g.result("grid", 0.0)
-    L = lipschitz_constant(f, h)
-    trace = list(g.values.items())
-    bound = max(_envelope(ta, ga, tb, gb, L) for (ta, ga), (tb, gb) in zip(trace, trace[1:]))
-    return g.result("grid", max(bound - g.best, 0.0))
+    return g.result("grid", g.gap(lipschitz_constant(f, h)))
 
 
 def slice_function(f: BiFunction, s: SlicePoint) -> VertexFunction:

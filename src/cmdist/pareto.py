@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
-from .convex import DEFAULT_EPS, CmdResult, _Curve, _envelope, cmd_maximize, lipschitz_constant
+from .convex import DEFAULT_EPS, CmdResult, _Curve, cmd_maximize, lipschitz_constant
 # g_value is unused here but stays importable: perfbench/tracing.py wraps it on this module
 from .convex import g_value  # noqa: F401
 
@@ -917,8 +917,8 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     interval.  Without ``cross_check`` the gap is the Lipschitz bound over
     the evaluated ``t``: between consecutive ``t_i < t_{i+1}`` no value of g
     exceeds the envelope bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of
-    :mod:`cmdist.convex`, and the ends of
-    [0, 1] add ``g_0 + L*t_0`` and ``g_m + L*(1 - t_m)``.  With it, the gap
+    :mod:`cmdist.convex`, and the special values always hold 0 and 1, so
+    these cells cover [0, 1].  With it, the gap
     is the proven branch-and-bound bound ``value + gap`` of
     :func:`cmd_maximize` minus the best special value, floored at 0.
     """
@@ -941,13 +941,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
         note = (f"cross-checked against branch-and-bound (eps={eps:g}); gap is its proven "
                 "bound minus the best special value")
     else:
-        L = lipschitz_constant(f, h)
-        trace = list(g.values.items())
-        (t0, g0), (tm, gm) = trace[0], trace[-1]
-        bound = max([g0 + L * t0, gm + L * (1.0 - tm)]
-                    + [_envelope(ta, ga, tb, gb, L)
-                       for (ta, ga), (tb, gb) in zip(trace, trace[1:])])
-        gap = max(bound - best, 0.0) if math.isfinite(best) else 0.0
+        gap = g.gap(lipschitz_constant(f, h))
         note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
                 "characterization puts the maximizer among them")
     return g.result("special-values", gap, note)

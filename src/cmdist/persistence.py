@@ -32,11 +32,14 @@ edge in at most two triangles; on other complexes the triangle boundary
 columns, in key order, are reduced over the two-element field instead,
 with the same forward pass for the negative edges.
 
-An explicit :class:`Filtration` is converted once into index arrays: vertices
-numbered by filtration position, edges as pairs of vertex ordinals, and
-triangles as triples of edge ordinals.  Degree 0 is the elder-rule
-union-find over its edges in filtration order, so vertices of equal value
-age by position, and degrees 1 and 2 are the same column reduction.
+An explicit :class:`Filtration` holds its simplices as padded rows of
+vertex ids; :func:`lower_star_filtration` builds them without tuples.  The
+pass that checks the rows at construction also gives the index arrays run
+here: vertices numbered by filtration position, edges as pairs of vertex
+ordinals, and triangles as triples of edge ordinals.  Degree 0 is the
+elder-rule union-find over its edges in filtration order, so vertices of
+equal value age by position, and degrees 1 and 2 are the same column
+reduction.
 Columns are packed into Python integers, so the XOR of two columns is a
 single big-int operation.
 """
@@ -44,11 +47,10 @@ single big-int operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .complexes import Filtration, MeshError, SimplicialComplex, VertexFunction, _face_rows
+from .complexes import Filtration, MeshError, SimplicialComplex, VertexFunction
 from .diagram import PersistenceDiagram
 
 SUPPORTED_DEGREES = (0, 1, 2)
@@ -179,6 +181,11 @@ def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """Rows of one to three entries left-padded with -1 to three columns."""
+    return np.pad(rows, ((0, 0), (3 - rows.shape[1], 0)), constant_values=-1)
+
+
 class _LowerStar:
     """Lower-star persistence of one (complex, values) pair, degree by degree.
 
@@ -211,8 +218,7 @@ class _LowerStar:
         pads some place of the key and raises none, and every vertex is
         followed directly by its lower star.
         """
-        ranks = np.sort(self.rank[simplices], axis=1)
-        return np.pad(ranks, ((0, 0), (3 - ranks.shape[1], 0)), constant_values=-1)
+        return _padded(np.sort(self.rank[simplices], axis=1))
 
     def _edge_values(self, idx):
         return self.values[self.order[self.hi[idx]]]
@@ -352,41 +358,16 @@ def lower_star_filtration(complex: SimplicialComplex, f) -> Filtration:
     :class:`VertexFunction` or an array of finite values.
     """
     ls = _LowerStar(complex, f)
-    n = complex.n_vertices
-    key = np.vstack([ls.key(np.arange(n)[:, None]), ls.key(complex.edges), ls.key(complex.triangles)])
+    parts = (np.arange(complex.n_vertices)[:, None], complex.edges, complex.triangles)
+    key = np.vstack([ls.key(p) for p in parts])
     order = np.lexsort(key.T)
-    rows = ([(v,) for v in range(n)] + [tuple(e) for e in complex.edges.tolist()]
-            + [tuple(t) for t in complex.triangles.tolist()])
-    return Filtration(tuple([rows[i] for i in order.tolist()]), ls.values[ls.order[key[order, 2]]],
-                      _validate=False)
-
-
-def _index_arrays(filtration: Filtration):
-    """A filtration as index arrays, ordinals counting in filtration order.
-
-    Returns the positions of the vertices, edges and triangles, the edges as
-    sorted pairs of vertex ordinals, and each triangle's faces (a, b), (a, c),
-    (b, c) as edge ordinals.
-    """
-    simplices = filtration.simplices
-    size = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
-    flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64, count=int(size.sum()))
-    start = np.cumsum(size) - size
-    vpos, epos, tpos = (np.flatnonzero(size == d) for d in (1, 2, 3))
-    ids = flat[start[vpos]]
-    by_id = np.argsort(ids)
-
-    def ordinals(pos, width):
-        rows = flat[start[pos, None] + np.arange(width)]
-        return np.sort(by_id[np.searchsorted(ids, rows, sorter=by_id)], axis=1)
-
-    edges = ordinals(epos, 2)
-    return vpos, epos, tpos, edges, _face_rows(edges, ordinals(tpos, 3), len(vpos))
+    rows = np.vstack([_padded(p) for p in parts])[order]
+    return Filtration._from_rows(rows, ls.values[ls.order[key[order, 2]]])
 
 
 def _filtration_pairs(filtration: Filtration, degrees) -> dict:
     """Degree -> (birth positions, death positions, essential positions)."""
-    vpos, epos, tpos, edges, faces = _index_arrays(filtration)
+    vpos, epos, tpos, edges, faces = filtration._index
     out = {}
     if 0 in degrees or 1 in degrees:
         dying, at, roots = _merge(len(vpos), edges[:, 0], edges[:, 1])

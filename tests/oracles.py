@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
-Deliberately naive: plain set-based boundary-matrix reduction with no
-clearing and no per-degree shortcuts, a bottleneck distance by binary
-search over the candidate grid with a direct quadratic matching check, one
+Deliberately naive: a filtration check with a set of tuples, plain
+set-based boundary-matrix reduction with no clearing and no per-degree
+shortcuts, a bottleneck distance by binary search over the candidate grid
+with a direct quadratic matching check, one
 by binary search over the realized costs with SciPy's bipartite matching,
 one by enumerating every bijection, the branch-and-bound that bounds each
 interval by its midpoint value alone, scalar ``math`` versions of the
@@ -19,6 +20,26 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+
+
+def filtration_error(simplices, values):
+    """The first broken filtration invariant, found with sorted tuples and a set, or None."""
+    if len(values) != len(simplices):
+        return "filtration needs one value per simplex"
+    if not all(math.isfinite(v) for v in values):
+        return "filtration values must be finite"
+    if any(b < a for a, b in zip(values, values[1:])):
+        return "filtration values must be nondecreasing along the order"
+    seen = set()
+    for s in map(tuple, map(sorted, simplices)):
+        if s in seen:
+            return f"duplicate simplex {s} in filtration"
+        faces = [s[:j] + s[j + 1:] for j in range(len(s))] if len(s) > 1 else []
+        missing = [face for face in faces if face not in seen]
+        if missing:
+            return f"face {missing[0]} of {s} does not precede it"
+        seen.add(s)
+    return None
 
 
 def naive_pairing(filtration):

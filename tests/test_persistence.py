@@ -116,6 +116,16 @@ def _hand_built_filtration(rng):
     return Filtration(simplices, [key[s][0] for s in rows])
 
 
+def test_explicit_route_builds_no_tuple_view():
+    cx, f = get_fixture("cone", 16)
+    filt = lower_star_filtration(cx, f.at(0.5))
+    for k in (0, 1, 2):
+        compute_persistence(filt, k)
+    compute_pairing(filt)
+    assert "simplices" not in filt.__dict__
+    assert filt.simplices is filt.simplices  # built once, on demand
+
+
 def test_union_find_equals_reduction_on_random_filtrations():
     rng = np.random.default_rng(11)
     for trial in range(60):
