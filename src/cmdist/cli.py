@@ -238,8 +238,8 @@ def _matchdist(config: RunConfig, f: BiFunction, h: BiFunction) -> dict:
     """Sampled matching distance over the --grid slices, as its JSON block."""
     na, nb = _parse_grid(config.grid)
     value, witness, _trace = matching_distance_scan(f, h, config.degree, slice_grid(na, nb))
-    return {"value": value, "witness": {"a": witness.a, "b": witness.b},
-            "grid": {"n_a": na, "n_b": nb}}
+    return {"kind": "sampled-lower-bound", "value": value,
+            "witness": {"a": witness.a, "b": witness.b}, "grid": {"n_a": na, "n_b": nb}}
 
 
 def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction):
@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, default=0, help="homology degree (0, 1 or 2)")
     parser.add_argument("--eps", type=float, default=DEFAULT_EPS, help="certificate tolerance")
     parser.add_argument("--mode", choices=("bnb", "special", "grid"), default="bnb")
-    parser.add_argument("--grid", default="11x11", help="slice grid AxB for matchdist/compare")
+    parser.add_argument("--grid", default="11x11",
+                        help="slice grid AxB for matchdist/compare; cmd --mode grid uses A cells only")
     parser.add_argument("--t", type=float, help="combination parameter in [0, 1]")
     parser.add_argument("--out", help="write JSON here instead of stdout")
     parser.add_argument("--plot", help="write an SVG plot here")

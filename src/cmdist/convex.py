@@ -14,6 +14,11 @@ so it peaks where the two lines cross, at
 ``m = (l+r)/2 + (g(r) - g(l))/(2L)``, with value
 ``ub = (g(l) + g(r) + L*(r-l))/2``.  Since ``|g(r) - g(l)| <= L*(r-l)``,
 the crossing lies in [l, r], so no value of g on [l, r] exceeds ``ub``.
+
+``_Curve`` holds ``L``, the evaluated values, this branch-and-bound and the
+one gap over the evaluated t, so :func:`cmd_maximize`, :func:`grid_scan` and
+the special-value route of :mod:`cmdist.pareto` differ only in which t they
+evaluate.
 """
 
 from __future__ import annotations
@@ -36,10 +41,8 @@ class CmdResult:
     """Outcome of a distance maximization over t in [0, 1].
 
     ``value`` is the best evaluated g, attained at ``argmax_t``; the true
-    maximum is certified to be at most ``value + gap`` (for mode
-    ``special-values`` with cross-checking, the gap is the branch-and-bound
-    bound ``reference.value + reference.gap`` minus ``value``, floored at 0
-    and flagged in ``note``).
+    maximum is certified to be at most ``value + gap``, where ``gap`` is the
+    envelope bound of the module docstring over all ``evaluations`` t.
     """
 
     value: float
@@ -120,11 +123,12 @@ class _Curve:
     """The curve g, evaluated at most once per t, with the best value so far.
 
     ``values`` keeps the evaluations in order, and ties for the best value
-    go to the smaller t.
+    go to the smaller t.  ``L`` is the Lipschitz constant of the envelope.
     """
 
     def __init__(self, f: BiFunction, h: BiFunction, k: int):
         self.f, self.h, self.k = f, h, k
+        self.L = lipschitz_constant(f, h)
         self.values: dict[float, float] = {}
         self.best_t, self.best = 0.0, -math.inf
 
@@ -135,68 +139,64 @@ class _Curve:
                 self.best, self.best_t = g, t
         return self.values[t]
 
-    def gap(self, L: float) -> float:
+    def _bound(self, l: float, r: float) -> float:
+        """Largest value the Lipschitz envelope of g(l) and g(r) allows on [l, r]."""
+        return (self(l) + self(r) + self.L * (r - l)) / 2
+
+    def _search(self, eps: float) -> None:
+        """Branch-and-bound on the envelope from the cell [0, 1]; g must be finite.
+
+        Splits the cell of largest bound at the envelope's peak.  Stops once
+        that bound is within ``eps`` of the best value, earlier evaluations
+        included, or once that cell holds no float to split at.
+        """
+        # heap of (-bound, l, r); lexicographic order resolves ties toward smaller t
+        heap = [(-self._bound(0.0, 1.0), 0.0, 1.0)]
+        while True:
+            neg_ub, l, r = heapq.heappop(heap)
+            if -neg_ub <= self.best + eps:
+                return
+            m = (l + r) / 2 + (self.values[r] - self.values[l]) / (2 * self.L)
+            if not l < m < r:  # rounding pushed the peak onto an end
+                m = (l + r) / 2
+                if not l < m < r:  # [l, r] holds no float between its ends
+                    return
+            heapq.heappush(heap, (-self._bound(l, m), l, m))
+            heapq.heappush(heap, (-self._bound(m, r), m, r))
+
+    def gap(self) -> float:
         """Largest envelope bound between consecutive evaluated t minus the best value, at least 0."""
         if math.isinf(self.best):
             return 0.0
         ts = sorted(self.values)
-        bound = max(_envelope(l, self.values[l], r, self.values[r], L) for l, r in zip(ts, ts[1:]))
+        bound = max(self._bound(l, r) for l, r in zip(ts, ts[1:]))
         return max(bound - self.best, 0.0)
 
-    def result(self, mode: str, gap: float, note: str | None = None) -> CmdResult:
-        return CmdResult(self.best, self.best_t, gap, len(self.values), mode,
+    def result(self, mode: str, note: str | None = None) -> CmdResult:
+        return CmdResult(self.best, self.best_t, self.gap(), len(self.values), mode,
                          tuple(self.values.items()), note)
-
-
-def _envelope(l: float, gl: float, r: float, gr: float, L: float) -> float:
-    """Largest value the Lipschitz envelope of g(l) = gl, g(r) = gr allows on [l, r]."""
-    return (gl + gr + L * (r - l)) / 2
 
 
 def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS) -> CmdResult:
     """Certified maximum of g over [0, 1] by Lipschitz branch-and-bound.
 
-    Starts from g(0) and g(1).  Each interval [l, r] carries the envelope
-    bound ``(g(l) + g(r) + L*(r-l))/2`` of the module docstring, and the
-    interval with the largest bound is split at the envelope's peak, so the
-    new value bounds both halves.  The search stops once the best evaluated
-    value is within ``eps`` of the largest bound, or once the interval with
-    the largest bound has no float inside it to split at; the gap is that
-    bound minus the best value.  Ties prefer smaller t, so the result is
-    deterministic.  An infinite probe (mismatched essential classes) is
-    returned immediately with a zero gap.
+    Starts from g(0) and g(1), and splits the interval with the largest
+    envelope bound of the module docstring at the envelope's peak, so the
+    new value bounds both halves.  It stops once that bound is within
+    ``eps`` of the best value, or once its interval holds no float to split
+    at; the gap is that bound minus the best value.  Ties prefer smaller t.
+
+    g is infinite exactly when the two diagrams differ in their numbers of
+    essential classes.  Those are the Betti numbers of each complex,
+    whatever the filtration, so g is infinite at every t or at none: every
+    route returns an infinite g(0) at once, with a zero gap.
     """
     if not eps > 0:  # NaN too: no bound ever closes within NaN
         raise ValueError("eps must be positive")
-    L = lipschitz_constant(f, h)
     g = _Curve(f, h, k)
-    for t in (0.0, 1.0):
-        if math.isinf(g(t)):
-            return g.result("branch-and-bound", 0.0)
-    # with L = 0 g is constant: both families are single functions
-    if L == 0.0:
-        return g.result("branch-and-bound", 0.0)
-
-    # heap of (-upper_bound, l, r); lexicographic order resolves ties toward
-    # smaller t
-    heap = [(-_envelope(0.0, g(0.0), 1.0, g(1.0), L), 0.0, 1.0)]
-    while True:
-        neg_ub, l, r = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub <= g.best + eps:
-            break
-        gl, gr = g(l), g(r)
-        m = (l + r) / 2 + (gr - gl) / (2 * L)
-        if not l < m < r:  # rounding pushed the peak onto an end
-            m = (l + r) / 2
-            if not l < m < r:  # [l, r] holds no float between its ends
-                break
-        gm = g(m)
-        if math.isinf(gm):
-            return g.result("branch-and-bound", 0.0)
-        heapq.heappush(heap, (-_envelope(l, gl, m, gm, L), l, m))
-        heapq.heappush(heap, (-_envelope(m, gm, r, gr, L), m, r))
-    return g.result("branch-and-bound", g.gap(L))
+    if not math.isinf(g(0.0)):
+        g._search(eps)
+    return g.result("branch-and-bound")
 
 
 def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
@@ -208,10 +208,10 @@ def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
     if n < 1:
         raise ValueError("grid needs at least one cell")
     g = _Curve(f, h, k)
-    for t in np.linspace(0.0, 1.0, n + 1).tolist():
-        if math.isinf(g(t)):
-            return g.result("grid", 0.0)
-    return g.result("grid", g.gap(lipschitz_constant(f, h)))
+    if not math.isinf(g(0.0)):
+        for t in np.linspace(0.0, 1.0, n + 1).tolist():
+            g(t)
+    return g.result("grid")
 
 
 def slice_function(f: BiFunction, s: SlicePoint) -> VertexFunction:

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
-from .convex import DEFAULT_EPS, CmdResult, _Curve, cmd_maximize, lipschitz_constant
-# g_value is unused here but stays importable: perfbench/tracing.py wraps it on this module
-from .convex import g_value  # noqa: F401
+from .convex import DEFAULT_EPS, CmdResult, _Curve
+# unused here but importable: perfbench/tracing.py wraps g_value and cmd_maximize on this module
+from .convex import cmd_maximize, g_value  # noqa: F401
 
 CURVATURE_FLOOR = 1e-9
 DEDUP_T_TOL = 1e-8
@@ -914,13 +914,13 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     """Distance maximum evaluated only at the special values of the contour pair.
 
     Degenerate families are sampled at 17 Chebyshev points of their
-    interval.  Without ``cross_check`` the gap is the Lipschitz bound over
-    the evaluated ``t``: between consecutive ``t_i < t_{i+1}`` no value of g
-    exceeds the envelope bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of
-    :mod:`cmdist.convex`, and the special values always hold 0 and 1, so
-    these cells cover [0, 1].  With it, the gap
-    is the proven branch-and-bound bound ``value + gap`` of
-    :func:`cmd_maximize` minus the best special value, floored at 0.
+    interval.  The gap is the Lipschitz bound over the evaluated ``t``:
+    between consecutive ``t_i < t_{i+1}`` no value of g exceeds the envelope
+    bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of :mod:`cmdist.convex`,
+    and the special values always hold 0 and 1, so these cells cover
+    [0, 1].  With ``cross_check`` the same curve then runs the search of
+    :func:`cmdist.convex.cmd_maximize` down to ``eps``, and the gap,
+    ``evaluations`` and ``trace`` cover both stages.
     """
     specials = special_values(contours_f, contours_h)
     ts: list[float] = []
@@ -931,20 +931,18 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
         else:
             ts.append(sv.t)
     g = _Curve(f, h, k)
-    for t in sorted(set(min(max(t, 0.0), 1.0) for t in ts)):
-        g(t)
-    best = g.best
+    if not math.isinf(g(0.0)):
+        for t in sorted(set(min(max(t, 0.0), 1.0) for t in ts)):
+            g(t)
+        if cross_check:
+            g._search(eps)
     if cross_check:
-        reference = cmd_maximize(f, h, k, eps)
-        finite = math.isfinite(best) and math.isfinite(reference.value)
-        gap = max(reference.value + reference.gap - best, 0.0) if finite else 0.0
-        note = (f"cross-checked against branch-and-bound (eps={eps:g}); gap is its proven "
-                "bound minus the best special value")
+        note = (f"cross-checked by branch-and-bound on the same curve (eps={eps:g}); gap is "
+                "the Lipschitz bound between all evaluated t")
     else:
-        gap = g.gap(lipschitz_constant(f, h))
         note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
                 "characterization puts the maximizer among them")
-    return g.result("special-values", gap, note)
+    return g.result("special-values", note)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,8 @@ def test_matchdist_command(tmp_path):
                          degree=0, grid="3x3", out=str(out)))
     assert code == 0
     payload = read_json(out)
-    assert set(payload) == {"degree", "value", "witness", "grid"}
+    assert set(payload) == {"degree", "kind", "value", "witness", "grid"}
+    assert payload["kind"] == "sampled-lower-bound"
     assert payload["grid"] == {"n_a": 3, "n_b": 3}
 
 
@@ -116,6 +117,7 @@ def test_compare_command(tmp_path, capsys):
     payload = read_json(out)
     assert payload["cmd"]["value"] <= 0.05
     assert payload["matchdist"]["value"] >= 0.45
+    assert payload["matchdist"]["kind"] == "sampled-lower-bound"
 
 
 def test_compare_stdout_is_one_json_document(capsys):

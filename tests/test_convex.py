@@ -9,6 +9,7 @@ from cmdist import (
     VertexFunction,
     bottleneck_distance,
     cmd_maximize,
+    cmd_via_special_values,
     convex_combination,
     g_value,
     grid_scan,
@@ -19,6 +20,7 @@ from cmdist import (
     slice_function,
     slice_grid,
     SlicePoint,
+    analytic_contours,
 )
 
 from conftest import get_fixture
@@ -147,12 +149,15 @@ def test_cmd_closed_form_curve_agreement(sphere64, ellipsoid64):
 
 
 def test_cmd_infinite_when_essential_counts_differ(sphere64, disk64):
+    """g is infinite at every t or at none, so every route returns after g(0)."""
     _, f = sphere64
     _, h = disk64
-    result = cmd_maximize(f, h, 2, 1e-3)
-    assert math.isinf(result.value)
-    assert result.gap == 0.0
-    assert result.evaluations <= 2  # returns at one of the two ends
+    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
+    for result in (cmd_maximize(f, h, 2, 1e-3), grid_scan(f, h, 2),
+                   cmd_via_special_values(f, h, 2, *contours)):
+        assert result.value == math.inf
+        assert result.gap == 0.0
+        assert result.evaluations == 1
 
 
 def test_hot_path_builds_no_point_objects(monkeypatch):

@@ -2,9 +2,12 @@
 
 Each check runs in a fresh interpreter, since this test session has SciPy
 loaded already.  The child records the SciPy modules in ``sys.modules``
-after each stage and prints them as one JSON object.
+after each stage and prints them as one JSON object.  The last test checks
+that the names the benchmark's tracer patches still exist in the package.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -70,3 +73,17 @@ def test_two_sided_bottleneck_loads_no_scipy(stages):
 
 def test_sampled_contour_loads_interpolate(stages):
     assert "scipy.interpolate" in stages["sampled-contour"]
+
+
+def test_traced_names_resolve(monkeypatch):
+    """Every (module, name) that perfbench/tracing.py wraps is an attribute of cmdist.<module>."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up there
+    spec.loader.exec_module(tracing)
+    missing = [f"cmdist.{module}.{name}" for modules, name, _span, _counts in tracing.WRAPS
+               for module in modules
+               if not hasattr(importlib.import_module(f"cmdist.{module}"), name)]
+    assert missing == []

@@ -657,13 +657,17 @@ def test_special_value_route_gap_bounds_a_dense_sweep():
 
 
 def test_special_value_route_cross_check_gap_is_proven():
+    """Cross-checking continues the special values' curve with branch-and-bound down to eps."""
     _, f = get_fixture("sphere", 16)
     _, h = get_fixture("ellipsoid(2,1)", 16)
-    result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
-                                    analytic_contours("ellipsoid(2,1)"), eps=0.05, cross_check=True)
-    reference = cmd_maximize(f, h, 0, 0.05)
-    assert result.gap == max(reference.value + reference.gap - result.value, 0.0)
-    assert result.gap > 0.0
+    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
+    result = cmd_via_special_values(f, h, 0, *contours, eps=0.05, cross_check=True)
+    special_only = cmd_via_special_values(f, h, 0, *contours)
+    assert result.gap <= 0.05
+    assert result.evaluations == len(result.trace)
+    assert result.value >= special_only.value
+    assert result.evaluations <= (special_only.evaluations
+                                  + cmd_maximize(f, h, 0, 0.05).evaluations)
     sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
     assert sweep <= result.value + result.gap + 1e-12
 
