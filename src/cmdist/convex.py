@@ -144,12 +144,17 @@ class _Curve:
         return (self(l) + self(r) + self.L * (r - l)) / 2
 
     def _search(self, eps: float) -> None:
-        """Branch-and-bound on the envelope from the cell [0, 1]; g must be finite.
+        """Branch-and-bound on the envelope from the cell [0, 1].
 
         Splits the cell of largest bound at the envelope's peak.  Stops once
         that bound is within ``eps`` of the best value, earlier evaluations
-        included, or once that cell holds no float to split at.
+        included, or once that cell holds no float to split at.  Returns
+        after g(0) when it is infinite.
         """
+        if not eps > 0:  # NaN too: no bound ever closes within NaN
+            raise ValueError("eps must be positive")
+        if math.isinf(self(0.0)):
+            return
         # heap of (-bound, l, r); lexicographic order resolves ties toward smaller t
         heap = [(-self._bound(0.0, 1.0), 0.0, 1.0)]
         while True:
@@ -191,11 +196,8 @@ def cmd_maximize(f: BiFunction, h: BiFunction, k: int, eps: float = DEFAULT_EPS)
     whatever the filtration, so g is infinite at every t or at none: every
     route returns an infinite g(0) at once, with a zero gap.
     """
-    if not eps > 0:  # NaN too: no bound ever closes within NaN
-        raise ValueError("eps must be positive")
     g = _Curve(f, h, k)
-    if not math.isinf(g(0.0)):
-        g._search(eps)
+    g._search(eps)
     return g.result("branch-and-bound")
 
 

@@ -919,8 +919,8 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of :mod:`cmdist.convex`,
     and the special values always hold 0 and 1, so these cells cover
     [0, 1].  With ``cross_check`` the same curve then runs the search of
-    :func:`cmdist.convex.cmd_maximize` down to ``eps``, and the gap,
-    ``evaluations`` and ``trace`` cover both stages.
+    :func:`cmdist.convex.cmd_maximize` down to ``eps``, which must be
+    positive, and the gap, ``evaluations`` and ``trace`` cover both stages.
     """
     specials = special_values(contours_f, contours_h)
     ts: list[float] = []
@@ -934,14 +934,11 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     if not math.isinf(g(0.0)):
         for t in sorted(set(min(max(t, 0.0), 1.0) for t in ts)):
             g(t)
-        if cross_check:
-            g._search(eps)
+    note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
+            "characterization puts the maximizer among them")
     if cross_check:
-        note = (f"cross-checked by branch-and-bound on the same curve (eps={eps:g}); gap is "
-                "the Lipschitz bound between all evaluated t")
-    else:
-        note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
-                "characterization puts the maximizer among them")
+        g._search(eps)
+        note = f"cross-checked by branch-and-bound on the same curve (eps={eps:g}); {note}"
     return g.result("special-values", note)
 
 

@@ -185,9 +185,17 @@ def test_hot_path_builds_no_point_objects(monkeypatch):
 def test_cmd_requires_positive_eps(cone64, disk64):
     _, f = cone64
     _, h = disk64
+    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
+    _, sphere = get_fixture("sphere", 16)
+    _, ellipsoid = get_fixture("ellipsoid(2,1)", 16)
+    _, disk = get_fixture("disk", 16)
     for eps in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="eps must be positive"):
             cmd_maximize(f, h, 0, eps)
+        # the special route's search checks eps too, on finite and infinite curves
+        for a, b, k in ((sphere, ellipsoid, 0), (sphere, disk, 2)):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                cmd_via_special_values(a, b, k, *contours, eps=eps, cross_check=True)
 
 
 def test_certificate_soundness_against_dense_sweep():
