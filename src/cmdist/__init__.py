@@ -22,11 +22,9 @@ from .convex import (
     CmdResult,
     SlicePoint,
     cmd_maximize,
-    convex_combination,
     g_value,
     grid_scan,
     lipschitz_constant,
-    matching_distance_lower_bound,
     matching_distance_scan,
     slice_function,
     slice_grid,
@@ -51,7 +49,6 @@ from .pareto import (
     classify_pareto,
     closed_form_special_t,
     cmd_via_special_values,
-    contour_branches,
     cost_derivative,
     load_contours,
     orthogonal_intersections,

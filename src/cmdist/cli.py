@@ -52,7 +52,7 @@ class RunConfig:
     degree: int = 0
     eps: float = DEFAULT_EPS
     mode: str = "bnb"
-    grid: str = "11x11"
+    grid: str | None = None
     t: float | None = None
     out: str | None = None
     plot: str | None = None
@@ -236,7 +236,7 @@ def _num(x: float) -> str:
 
 def _matchdist(config: RunConfig, f: BiFunction, h: BiFunction) -> dict:
     """Sampled matching distance over the --grid slices, as its JSON block."""
-    na, nb = _parse_grid(config.grid)
+    na, nb = _parse_grid("11x11" if config.grid is None else config.grid)
     value, witness, _trace = matching_distance_scan(f, h, config.degree, slice_grid(na, nb))
     return {"kind": "sampled-lower-bound", "value": value,
             "witness": {"a": witness.a, "b": witness.b}, "grid": {"n_a": na, "n_b": nb}}
@@ -246,11 +246,12 @@ def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction):
     if config.mode == "bnb":
         return cmd_maximize(f, h, config.degree, config.eps)
     if config.mode == "grid":
-        na, _ = _parse_grid(config.grid)
-        return grid_scan(f, h, config.degree, na)
+        if config.grid is None:
+            return grid_scan(f, h, config.degree)
+        return grid_scan(f, h, config.degree, _parse_grid(config.grid)[0])
     c1 = _load_contour_set(config, 1)
     c2 = _load_contour_set(config, 2)
-    return cmd_via_special_values(f, h, config.degree, c1, c2, eps=config.eps)
+    return cmd_via_special_values(f, h, config.degree, c1, c2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, default=0, help="homology degree (0, 1 or 2)")
     parser.add_argument("--eps", type=float, default=DEFAULT_EPS, help="certificate tolerance")
     parser.add_argument("--mode", choices=("bnb", "special", "grid"), default="bnb")
-    parser.add_argument("--grid", default="11x11",
-                        help="slice grid AxB for matchdist/compare; cmd --mode grid uses A cells only")
+    parser.add_argument("--grid",
+                        help="slice grid AxB for matchdist/compare (default 11x11); "
+                             "cmd --mode grid scans A cells (default 256) and ignores B")
     parser.add_argument("--t", type=float, help="combination parameter in [0, 1]")
     parser.add_argument("--out", help="write JSON here instead of stdout")
     parser.add_argument("--plot", help="write an SVG plot here")

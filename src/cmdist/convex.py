@@ -100,11 +100,6 @@ class SlicePoint:
             raise ValueError(f"slice parameter a={self.a} must lie strictly inside (0, 1)")
 
 
-def convex_combination(f: BiFunction, t: float) -> VertexFunction:
-    """Vertexwise (1-t)*phi1 + t*phi2; exact at the endpoints."""
-    return VertexFunction(f.at(t))
-
-
 def g_value(f: BiFunction, h: BiFunction, k: int, t: float) -> float:
     """Bottleneck distance between the degree-k diagrams of phi^t and psi^t."""
     d1 = lower_star_diagram(f.complex, f.at(t), k)
@@ -169,6 +164,12 @@ class _Curve:
             heapq.heappush(heap, (-self._bound(l, m), l, m))
             heapq.heappush(heap, (-self._bound(m, r), m, r))
 
+    def scan(self, ts) -> None:
+        """Evaluates g at each t in order, or at 0 alone when g(0) is infinite."""
+        if not math.isinf(self(0.0)):
+            for t in ts:
+                self(t)
+
     def gap(self) -> float:
         """Largest envelope bound between consecutive evaluated t minus the best value, at least 0."""
         if math.isinf(self.best):
@@ -210,9 +211,7 @@ def grid_scan(f: BiFunction, h: BiFunction, k: int, n: int = 256) -> CmdResult:
     if n < 1:
         raise ValueError("grid needs at least one cell")
     g = _Curve(f, h, k)
-    if not math.isinf(g(0.0)):
-        for t in np.linspace(0.0, 1.0, n + 1).tolist():
-            g(t)
+    g.scan(np.linspace(0.0, 1.0, n + 1).tolist())
     return g.result("grid")
 
 
@@ -254,7 +253,3 @@ def matching_distance_scan(f: BiFunction, h: BiFunction, k: int, grid) -> tuple[
             best, witness = v, s
     return best, witness, trace
 
-
-def matching_distance_lower_bound(f: BiFunction, h: BiFunction, k: int, grid) -> float:
-    """Sampled lower bound of the classical matching distance over slice points."""
-    return matching_distance_scan(f, h, k, grid)[0]

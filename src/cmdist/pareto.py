@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jsonio
 from .complexes import BiFunction, parse_fixture_name
-from .convex import DEFAULT_EPS, CmdResult, _Curve
+from .convex import CmdResult, _Curve
 # unused here but importable: perfbench/tracing.py wraps g_value and cmd_maximize on this module
 from .convex import cmd_maximize, g_value  # noqa: F401
 
@@ -208,7 +208,12 @@ class Contour:
 
     def __init__(self, samples, contour_id: str = "contour", provenance: str = "user",
                  geometry=None):
-        samples = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ContourError(
+                f"shape violation: contour {contour_id!r} has samples of shape {samples.shape}, "
+                "needs (n, 2)"
+            )
         if len(samples) < _MIN_SAMPLES:
             raise ContourError(
                 f"sample-count violation: contour {contour_id!r} has {len(samples)} samples, "
@@ -241,16 +246,16 @@ class Contour:
 
     @functools.cached_property
     def branches(self) -> tuple[ContourBranch, ...]:
-        """:func:`contour_branches`, split once per contour; a tuple, so no caller can change it."""
+        """The contour split at inflections into monotone branches, with straight runs as
+        constant branches carrying their single orthogonal direction.
+
+        Split once per contour; a tuple, so no caller can change it.
+        """
         return tuple(_split_at_inflections(self))
 
     @property
     def is_analytic(self) -> bool:
         return isinstance(self.geometry, _ArcGeometry)
-
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.point(0.0), self.point(1.0)
 
     def point(self, tau):
         return np.asarray(self.geometry.point(tau), dtype=np.float64)
@@ -350,13 +355,13 @@ def _projection(p: np.ndarray, t):
 def orthogonal_intersections(c: Contour, t: float) -> list[tuple[float, np.ndarray, float]]:
     """All (tau, point, w) where the direction (1-t, t) meets the contour orthogonally.
 
-    The hits of the contour's branches (:meth:`ContourBranch.tau_at`) plus the
+    The hits of the contour's branches (:meth:`ContourBranch.taus_at`) plus the
     contour endpoints whose orthogonality t lies within 1e-9 of t, without
     repeats closer than 1e-9 in tau; ``w`` is the projection point . (1-t, t).
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
-    taus = [b.tau_at(t) for b in c.branches]
+    taus = [float(b.taus_at([t])[0]) for b in c.branches]
     taus += [end for end in (0.0, 1.0) if abs(t_of_orthogonality(c, end) - t) <= 1e-9]
     out = []
     seen: list[float] = []
@@ -512,28 +517,6 @@ class ContourBranch:
         ts = np.asarray(ts, dtype=np.float64)
         return _Hits(self, ts, self.taus_at(ts))
 
-    def tau_at(self, t: float) -> float:
-        """Parameter of the orthogonal hit at t, or NaN outside the branch domain."""
-        return float(self.taus_at([t])[0])
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.hits([t]).p[0]
-
-    def w_at(self, t: float) -> float:
-        return float(self.hits([t]).w[0])
-
-    def osculating_at(self, t: float) -> OsculatingData | None:
-        tau = self.tau_at(t)
-        if math.isnan(tau):
-            return None
-        return osculating(self.contour, tau)
-
-
-def contour_branches(c: Contour) -> list[ContourBranch]:
-    """Split a contour at inflections into monotone branches; straight runs
-    become constant branches carrying their single orthogonal direction."""
-    return list(c.branches)
-
 
 def _split_at_inflections(c: Contour) -> list[ContourBranch]:
     def make(tau_lo, tau_hi):
@@ -553,14 +536,10 @@ def _split_at_inflections(c: Contour) -> list[ContourBranch]:
         v2, a2 = c.velocity(x), c.acceleration(x)
         return float(v2[0] * a2[1] - v2[1] * a2[0])
 
-    cuts = [0.0]
-    flips = (small[:-1] != small[1:]) | (~small[:-1] & (kappa[:-1] * kappa[1:] < 0))
-    for i in np.flatnonzero(flips).tolist():
-        if small[i] != small[i + 1]:
-            cuts.append(float(grid[i + 1] if small[i + 1] else grid[i]))
-        else:
-            cuts.append(_brentq(cross_of, grid[i], grid[i + 1], xtol=1e-12))
-    cuts.append(1.0)
+    # inflections inside curved runs, then the ends of straight runs
+    cuts = [0.0, 1.0, *_scan_roots(cross_of, grid, np.where(small, np.nan, kappa))]
+    for i in np.flatnonzero(small[:-1] != small[1:]).tolist():
+        cuts.append(float(grid[i + 1] if small[i + 1] else grid[i]))
     cuts = sorted(set(cuts))
     branches = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -908,9 +887,7 @@ def _deduplicate(points: list[SpecialValue], families: list[SpecialValue]) -> li
 
 
 def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
-                           contours_f, contours_h, *,
-                           eps: float = DEFAULT_EPS,
-                           cross_check: bool = False) -> CmdResult:
+                           contours_f, contours_h) -> CmdResult:
     """Distance maximum evaluated only at the special values of the contour pair.
 
     Degenerate families are sampled at 17 Chebyshev points of their
@@ -918,28 +895,19 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     between consecutive ``t_i < t_{i+1}`` no value of g exceeds the envelope
     bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of :mod:`cmdist.convex`,
     and the special values always hold 0 and 1, so these cells cover
-    [0, 1].  With ``cross_check`` the same curve then runs the search of
-    :func:`cmdist.convex.cmd_maximize` down to ``eps``, which must be
-    positive, and the gap, ``evaluations`` and ``trace`` cover both stages.
+    [0, 1].  For a gap within ``eps``, run :func:`cmdist.convex.cmd_maximize`.
     """
-    specials = special_values(contours_f, contours_h)
     ts: list[float] = []
-    for sv in specials:
+    for sv in special_values(contours_f, contours_h):
         if sv.condition == "degenerate-family":
             interval = sv.witnesses[0]["interval"]
             ts.extend(_chebyshev_nodes(interval[0], interval[1]))
         else:
             ts.append(sv.t)
     g = _Curve(f, h, k)
-    if not math.isinf(g(0.0)):
-        for t in sorted(set(min(max(t, 0.0), 1.0) for t in ts)):
-            g(t)
-    note = ("gap is the Lipschitz bound between the evaluated t; the special-value "
-            "characterization puts the maximizer among them")
-    if cross_check:
-        g._search(eps)
-        note = f"cross-checked by branch-and-bound on the same curve (eps={eps:g}); {note}"
-    return g.result("special-values", note)
+    g.scan(sorted(set(min(max(t, 0.0), 1.0) for t in ts)))
+    return g.result("special-values", "gap is the Lipschitz bound between the evaluated t; the "
+                    "special-value characterization puts the maximizer among them")
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from cmdist import (
     closed_form_special_t,
     cmd_maximize,
     cmd_via_special_values,
-    contour_branches,
     cost_derivative,
     g_value,
     lipschitz_constant,
     lower_star_diagram,
-    matching_distance_lower_bound,
+    matching_distance_scan,
     position_predict,
     slice_function,
     slice_grid,
@@ -78,7 +77,7 @@ def test_criterion_01_degree1_discrimination():
 def test_criterion_02_degree1_matching_distance_stays_flat():
     _, f = get_fixture("cone", 64)
     _, h = get_fixture("disk", 64)
-    value = matching_distance_lower_bound(f, h, 1, slice_grid(11, 11))
+    value = matching_distance_scan(f, h, 1, slice_grid(11, 11))[0]
     ok = value <= 0.05
     report(2, ok, f"sampled matching distance in degree 1 = {value:.5f} <= 0.05")
 
@@ -198,9 +197,9 @@ def _branch_pool():
     pool = []
     for c in analytic_contours("sphere") + analytic_contours("ellipsoid(2,1)") \
             + analytic_contours("ellipsoid(1.5,0.8)"):
-        pool.extend(contour_branches(c))
-    pool.append(contour_branches(arc_contour((0.5, 0.0), 2.0, Q3, "probe-a"))[0])
-    pool.append(contour_branches(arc_contour((-0.3, 0.2), 1.5, Q3, "probe-b"))[0])
+        pool.extend(c.branches)
+    pool.append(arc_contour((0.5, 0.0), 2.0, Q3, "probe-a").branches[0])
+    pool.append(arc_contour((-0.3, 0.2), 1.5, Q3, "probe-b").branches[0])
     return pool
 
 
@@ -211,7 +210,7 @@ def test_criterion_09_derivative_diagnostics():
     def fd(b1, b2, t, step=1e-6):
         def gap(theta):
             tt = math.sin(theta) / (math.sin(theta) + math.cos(theta))
-            return b1.w_at(tt) - b2.w_at(tt)
+            return float(b1.hits([tt]).w[0]) - float(b2.hits([tt]).w[0])
 
         theta = math.atan2(t, 1 - t)
         return (gap(theta + step) - gap(theta - step)) / (2 * step)

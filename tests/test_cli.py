@@ -50,12 +50,16 @@ def test_cmd_command_deterministic_bytes(tmp_path):
 def test_cmd_special_mode(tmp_path):
     out = tmp_path / "sp.json"
     code = run(RunConfig("cmd", fixture="sphere:16", fixture2="ellipsoid(2,1):16",
-                         degree=0, mode="special", out=str(out)))
+                         degree=0, eps=0.05, mode="special", out=str(out)))
     assert code == 0
     payload = read_json(out)
     assert payload["mode"] == "special-values"
     assert abs(payload["value"] - 1.0) <= 0.05
     assert "note" in payload
+    # the fields the benchmark's special-route check reads
+    assert payload["eps"] == 0.05
+    assert payload["evaluations"] == len(payload["trace"])
+    assert {"value", "argmax_t"} <= set(payload)
 
 
 def test_cmd_grid_mode(tmp_path):
@@ -66,6 +70,16 @@ def test_cmd_grid_mode(tmp_path):
     payload = read_json(out)
     assert payload["mode"] == "grid"
     assert payload["value"] >= 0.45
+
+
+def test_cmd_grid_mode_cells(tmp_path):
+    out = tmp_path / "grid.json"
+    argv = ["cmd", "--fixture", "cone:16", "--fixture2", "disk:16", "--mode", "grid", "--out", str(out)]
+    # without --grid the scan takes grid_scan's 256 cells, not the 11 of the matchdist grid
+    assert main(argv) == 0
+    assert read_json(out)["evaluations"] == 257
+    assert main(argv + ["--grid", "7x3"]) == 0
+    assert read_json(out)["evaluations"] == 8
 
 
 def test_matchdist_command(tmp_path):

@@ -10,12 +10,10 @@ from cmdist import (
     bottleneck_distance,
     cmd_maximize,
     cmd_via_special_values,
-    convex_combination,
     g_value,
     grid_scan,
     lipschitz_constant,
     lower_star_diagram,
-    matching_distance_lower_bound,
     matching_distance_scan,
     slice_function,
     slice_grid,
@@ -39,23 +37,23 @@ def perturbed(f: BiFunction, rng, scale: float) -> BiFunction:
 
 def test_endpoints_are_exact():
     _, f = get_fixture("cone", 16)
-    assert np.array_equal(convex_combination(f, 0.0).values, f.phi1.values)
-    assert np.array_equal(convex_combination(f, 1.0).values, f.phi2.values)
+    assert np.array_equal(VertexFunction(f.at(0.0)).values, f.phi1.values)
+    assert np.array_equal(VertexFunction(f.at(1.0)).values, f.phi2.values)
 
 
 def test_combination_out_of_range():
     _, f = get_fixture("cone", 16)
     with pytest.raises(ValueError):
-        convex_combination(f, -0.1)
+        VertexFunction(f.at(-0.1))
     with pytest.raises(ValueError):
-        convex_combination(f, 1.1)
+        VertexFunction(f.at(1.1))
 
 
 def test_disk_combination_collapses_to_one_component():
     _, f = get_fixture("disk", 32)
     for t in (0.2, 0.5, 0.9):
         expected = (1 - 2 * t) * f.phi1.values
-        assert np.allclose(convex_combination(f, t).values, expected, atol=1e-15)
+        assert np.allclose(VertexFunction(f.at(t)).values, expected, atol=1e-15)
 
 
 # --- g and its Lipschitz bound ----------------------------------------------
@@ -185,17 +183,9 @@ def test_hot_path_builds_no_point_objects(monkeypatch):
 def test_cmd_requires_positive_eps(cone64, disk64):
     _, f = cone64
     _, h = disk64
-    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
-    _, sphere = get_fixture("sphere", 16)
-    _, ellipsoid = get_fixture("ellipsoid(2,1)", 16)
-    _, disk = get_fixture("disk", 16)
     for eps in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="eps must be positive"):
             cmd_maximize(f, h, 0, eps)
-        # the special route's search checks eps too, on finite and infinite curves
-        for a, b, k in ((sphere, ellipsoid, 0), (sphere, disk, 2)):
-            with pytest.raises(ValueError, match="eps must be positive"):
-                cmd_via_special_values(a, b, k, *contours, eps=eps, cross_check=True)
 
 
 def test_certificate_soundness_against_dense_sweep():
@@ -317,8 +307,8 @@ def test_matching_distance_lower_bound_examples(cone64, disk64):
     _, f = cone64
     _, h = disk64
     grid_with_center = [SlicePoint(0.5, 0.0), SlicePoint(0.3, 0.2)]
-    assert matching_distance_lower_bound(f, h, 0, grid_with_center) >= 0.45
-    assert matching_distance_lower_bound(f, f, 0, grid_with_center) == 0.0
+    assert matching_distance_scan(f, h, 0, grid_with_center)[0] >= 0.45
+    assert matching_distance_scan(f, f, 0, grid_with_center)[0] == 0.0
     value, witness, trace = matching_distance_scan(f, h, 0, grid_with_center)
     assert witness == SlicePoint(0.5, 0.0)
     assert len(trace) == 2
@@ -328,7 +318,7 @@ def test_empty_slice_grid_rejected(cone64, disk64):
     _, f = cone64
     _, h = disk64
     with pytest.raises(ValueError, match="nonempty"):
-        matching_distance_lower_bound(f, h, 0, [])
+        matching_distance_scan(f, h, 0, [])
 
 
 def test_slice_grid_shape():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cmdist import (
     closed_form_special_t,
     cmd_maximize,
     cmd_via_special_values,
-    contour_branches,
     cost_derivative,
     g_value,
     load_contours,
@@ -70,7 +70,7 @@ def segment_contour(n=17, contour_id="segment"):
 def test_sphere_has_two_quarter_arcs(sphere_contours):
     assert len(sphere_contours) == 2
     q3 = sphere_contours[1]
-    start, end = q3.endpoints
+    start, end = q3.point(0.0), q3.point(1.0)
     assert np.allclose(start, [-1.0, 0.0], atol=1e-12)
     assert np.allclose(end, [0.0, -1.0], atol=1e-12)
 
@@ -81,7 +81,7 @@ def test_unit_ellipsoid_matches_sphere(sphere_contours):
 
 
 def test_stretched_ellipsoid_endpoints(ellipsoid_contours):
-    start, end = ellipsoid_contours[1].endpoints
+    start, end = ellipsoid_contours[1].point(0.0), ellipsoid_contours[1].point(1.0)
     assert np.allclose(start, [-2.0, 0.0], atol=1e-12)
     assert np.allclose(end, [0.0, -1.0], atol=1e-12)
 
@@ -123,6 +123,19 @@ def test_regularity_violation():
 def test_sample_count_violation():
     with pytest.raises(ContourError, match="sample-count"):
         Contour([[0, 1], [1, 0]], "bad", "test")
+
+
+def test_sample_shape_violation():
+    xs = np.linspace(0.0, 1.0, 32)
+    pairs = np.column_stack([xs, 2.0 - xs])
+    cases = {
+        (32, 4): np.column_stack([pairs, pairs + 0.01]),  # consecutive pairs per row
+        (40,): np.ravel(pairs[:20]),  # a flat list of coordinates
+        (16, 3): np.column_stack([xs[:16], 2.0 - xs[:16], xs[:16]]),
+    }
+    for shape, samples in cases.items():
+        with pytest.raises(ContourError, match=re.escape(f"samples of shape {shape}, needs (n, 2)")):
+            Contour(samples, "bad", "test")
 
 
 def test_malformed_contour_file(tmp_path):
@@ -187,7 +200,7 @@ def test_hits_on_both_sides_of_an_inflection():
     xs = np.linspace(0.0, 1.0, 33)
     ys = 2.0 - xs - 0.05 * np.sin(2 * math.pi * (xs + 0.1))
     c = Contour(np.column_stack([xs, ys]), "inflected", "test")
-    tau_c = [b for b in contour_branches(c) if b.kind == "monotone"][0].tau_hi
+    tau_c = [b for b in c.branches if b.kind == "monotone"][0].tau_hi
     t = t_of_orthogonality(c, tau_c) - 1e-7
     hits = orthogonal_intersections(c, t)
     assert len(hits) == 2
@@ -265,25 +278,25 @@ def test_unstable_sample_data_is_rejected():
 
 
 def test_arc_is_a_single_monotone_branch(sphere_contours):
-    branches = contour_branches(sphere_contours[0])
+    branches = sphere_contours[0].branches
     assert len(branches) == 1
     b = branches[0]
     assert b.kind == "monotone"
     assert (b.t_lo, b.t_hi) == (0.0, 1.0)
-    assert abs(b.w_at(0.5) - SQ2) < 1e-12
+    assert abs(float(b.hits([0.5]).w[0]) - SQ2) < 1e-12
 
 
 def test_inflected_contour_splits_into_two_branches():
     xs = np.linspace(0.0, 1.0, 33)
     ys = 2.0 - xs - 0.05 * np.sin(2 * math.pi * xs)
     c = Contour(np.column_stack([xs, ys]), "s-curve", "test")
-    branches = contour_branches(c)
+    branches = c.branches
     kinds = [b.kind for b in branches]
     assert kinds.count("monotone") == 2
 
 
 def test_straight_segment_is_a_constant_branch():
-    branches = contour_branches(segment_contour())
+    branches = segment_contour().branches
     assert len(branches) == 1
     assert branches[0].kind == "constant"
     assert abs(branches[0].t_lo - 0.5) < 1e-9
@@ -309,8 +322,9 @@ def test_translated_contours_form_a_degenerate_family(sphere_contours):
 
 def test_radius_crossing_is_detected(sphere_contours, ellipsoid_contours):
     # independent root: the ellipse arc radius of curvature passes through 1
-    b_e = contour_branches(ellipsoid_contours[0])[0]
-    root = brentq(lambda t: b_e.osculating_at(t).signed_radius - 1.0, 0.1, 0.9, xtol=1e-12)
+    b_e = ellipsoid_contours[0].branches[0]
+    root = brentq(lambda t: osculating(b_e.contour, float(b_e.taus_at([t])[0])).signed_radius - 1.0,
+                  0.1, 0.9, xtol=1e-12)
     sv = special_values(sphere_contours, ellipsoid_contours)
     equal_radius = [s.t for s in sv if s.condition == "osculating-equality"]
     assert any(abs(t - root) < 1e-7 for t in equal_radius)
@@ -401,13 +415,13 @@ def test_branch_count_bound(sphere_contours):
 
 
 def test_concentric_arcs_have_stationary_gap_at_half():
-    b1 = contour_branches(arc_contour((0.0, 0.0), 1.0, Q3, "r1"))[0]
-    b2 = contour_branches(arc_contour((0.0, 0.0), 2.0, Q3, "r2"))[0]
+    b1 = arc_contour((0.0, 0.0), 1.0, Q3, "r1").branches[0]
+    b2 = arc_contour((0.0, 0.0), 2.0, Q3, "r2").branches[0]
     assert abs(cost_derivative(b1, b2, 0.5)) < 1e-12
 
 
 def test_identical_branches_have_zero_derivative(sphere_contours):
-    b = contour_branches(sphere_contours[0])[0]
+    b = sphere_contours[0].branches[0]
     for t in (0.2, 0.5, 0.8):
         assert cost_derivative(b, b, t) == 0.0
 
@@ -415,15 +429,15 @@ def test_identical_branches_have_zero_derivative(sphere_contours):
 def _finite_difference_gap_derivative(b1, b2, t, h=1e-6):
     def gap_of_theta(theta):
         tt = math.sin(theta) / (math.sin(theta) + math.cos(theta))
-        return b1.w_at(tt) - b2.w_at(tt)
+        return float(b1.hits([tt]).w[0]) - float(b2.hits([tt]).w[0])
 
     theta = math.atan2(t, 1.0 - t)
     return (gap_of_theta(theta + h) - gap_of_theta(theta - h)) / (2 * h)
 
 
 def test_cost_derivative_matches_finite_differences(sphere_contours, ellipsoid_contours):
-    b_s = contour_branches(sphere_contours[0])[0]
-    b_e = contour_branches(ellipsoid_contours[0])[0]
+    b_s = sphere_contours[0].branches[0]
+    b_e = ellipsoid_contours[0].branches[0]
     for t in (0.2, 0.35, 0.55, 0.7):
         exact = cost_derivative(b_s, b_e, t)
         fd = _finite_difference_gap_derivative(b_s, b_e, t)
@@ -431,8 +445,8 @@ def test_cost_derivative_matches_finite_differences(sphere_contours, ellipsoid_c
 
 
 def test_cost_derivative_requires_defined_radius(sphere_contours):
-    seg_branch = contour_branches(segment_contour())[0]
-    arc_branch = contour_branches(sphere_contours[0])[0]
+    seg_branch = segment_contour().branches[0]
+    arc_branch = sphere_contours[0].branches[0]
     with pytest.raises(ValueError):
         cost_derivative(seg_branch, arc_branch, 0.5)
 
@@ -446,12 +460,12 @@ def _table_cases(tmp_path):
     theta = np.linspace(math.pi, 1.5 * math.pi, 33)
     bumpy = np.column_stack([np.cos(theta), np.sin(theta)])
     bumpy[16] *= 1.0 + 1e-3  # as in test_unstable_curvature_degrades_to_warnings
-    yield "arcs", [b for c in sph + ell for b in contour_branches(c)]
+    yield "arcs", [b for c in sph + ell for b in c.branches]
     # a parameter window narrower than the t-range leaves hits outside the window unmatched
     yield "sub-arc", [ContourBranch(ell[0], 0.25, 0.75, "monotone", 0.0, 1.0)]
     yield "acceptance pool", _branch_pool()
-    yield "spline", [b for c in load_contours(tmp_path / "spline.json") for b in contour_branches(c)]
-    yield "bumpy", contour_branches(Contour(bumpy, "bumpy", "test"))
+    yield "spline", [b for c in load_contours(tmp_path / "spline.json") for b in c.branches]
+    yield "bumpy", Contour(bumpy, "bumpy", "test").branches
 
 
 def _same(a, b):
@@ -475,9 +489,9 @@ def test_branch_tables_match_the_scalar_routines(tmp_path):
                 circle = None if math.isnan(tau) else oracles.osculating_circle(b.contour, tau)
                 refs[i].append((w, circle))
                 if idx % 4 == 0:  # one-element calls on a subset of the grid
-                    assert _same(b.tau_at(t), tau), (name, i, t)
-                    assert all(map(_same, b.point_at(t).tolist(), p)), (name, i, t)
-                    assert _same(b.w_at(t), w), (name, i, t)
+                    assert _same(float(b.taus_at([t])[0]), tau), (name, i, t)
+                    assert all(map(_same, b.hits([t]).p[0].tolist(), p)), (name, i, t)
+                    assert _same(float(b.hits([t]).w[0]), w), (name, i, t)
                 if not b.t_min + margin <= t <= b.t_max - margin:
                     assert np.isnan(hits.tau[idx]), (name, i, t)  # the grid leaves a margin at the ends
                     continue
@@ -635,39 +649,14 @@ def test_maximizer_lands_on_a_special_value(pair):
     assert _distance_to_special_set(result.argmax_t, specials) <= 1e-3
 
 
-def test_special_value_route_cross_check():
-    _, f = get_fixture("sphere", 16)
-    _, h = get_fixture("ellipsoid(2,1)", 16)
-    result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
-                                    analytic_contours("ellipsoid(2,1)"),
-                                    cross_check=True)
-    assert result.gap <= 0.05
-    assert "cross-checked" in result.note
-
-
 def test_special_value_route_gap_bounds_a_dense_sweep():
     _, f = get_fixture("sphere", 16)
     _, h = get_fixture("ellipsoid(2,1)", 16)
     result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
                                     analytic_contours("ellipsoid(2,1)"))
     assert math.isfinite(result.gap) and result.gap >= 0.0
-    assert "Lipschitz" in result.note
-    sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
-    assert sweep <= result.value + result.gap + 1e-12
-
-
-def test_special_value_route_cross_check_gap_is_proven():
-    """Cross-checking continues the special values' curve with branch-and-bound down to eps."""
-    _, f = get_fixture("sphere", 16)
-    _, h = get_fixture("ellipsoid(2,1)", 16)
-    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
-    result = cmd_via_special_values(f, h, 0, *contours, eps=0.05, cross_check=True)
-    special_only = cmd_via_special_values(f, h, 0, *contours)
-    assert result.gap <= 0.05
     assert result.evaluations == len(result.trace)
-    assert result.value >= special_only.value
-    assert result.evaluations <= (special_only.evaluations
-                                  + cmd_maximize(f, h, 0, 0.05).evaluations)
+    assert "Lipschitz" in result.note
     sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
     assert sweep <= result.value + result.gap + 1e-12
 
