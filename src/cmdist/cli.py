@@ -157,15 +157,14 @@ def run(config: RunConfig) -> int:
 
     if config.command == "cmd":
         f, h = _load_input(config, 1), _load_input(config, 2)
-        result = _run_cmd(config, f, h)
+        specials = []
+        if config.mode == "special":
+            specials = special_values(_load_contour_set(config, 1), _load_contour_set(config, 2))
+        result = _run_cmd(config, f, h, specials)
         _emit(config, _cmd_result_payload(result, config))
         if config.plot:
-            specials = []
-            if config.mode == "special":
-                specials = [sv.t for sv in special_values(_load_contour_set(config, 1),
-                                                          _load_contour_set(config, 2))
-                            if sv.condition != "degenerate-family"]
-            plots.trace_svg(result.trace, config.plot, special_ts=specials,
+            plots.trace_svg(result.trace, config.plot,
+                            special_ts=[sv.t for sv in specials if sv.condition != "degenerate-family"],
                             title=f"g(t), degree {config.degree}")
         return 0
 
@@ -242,16 +241,14 @@ def _matchdist(config: RunConfig, f: BiFunction, h: BiFunction) -> dict:
             "witness": {"a": witness.a, "b": witness.b}, "grid": {"n_a": na, "n_b": nb}}
 
 
-def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction):
+def _run_cmd(config: RunConfig, f: BiFunction, h: BiFunction, specials):
     if config.mode == "bnb":
         return cmd_maximize(f, h, config.degree, config.eps)
     if config.mode == "grid":
         if config.grid is None:
             return grid_scan(f, h, config.degree)
         return grid_scan(f, h, config.degree, _parse_grid(config.grid)[0])
-    c1 = _load_contour_set(config, 1)
-    c2 = _load_contour_set(config, 2)
-    return cmd_via_special_values(f, h, config.degree, c1, c2)
+    return cmd_via_special_values(f, h, config.degree, specials)
 
 
 def build_parser() -> argparse.ArgumentParser:

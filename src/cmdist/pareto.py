@@ -13,12 +13,14 @@ one shared t-grid.  Each special-value condition is one array function of
 those hits: it runs on the grid to bracket roots and on one-element arrays
 to polish them.  Roots are polished by :func:`_brentq`, a pure-Python port
 of ``scipy.optimize.brentq`` that the tests check against SciPy's bit for
-bit, so importing this module loads no SciPy; sampled contours import
-SciPy's cubic spline when they are built.
+bit.  Sampled contours are not-a-knot cubic splines fitted in numpy, whose
+orthogonal hits are roots of one quadratic per piece, so no part of this
+module loads SciPy.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -159,13 +161,14 @@ class _ArcGeometry:
         d2 = self.dtheta ** 2
         return _pairs(-self.rx * np.cos(th) * d2, -self.ry * np.sin(th) * d2)
 
-    def taus_of_t(self, ts: np.ndarray) -> np.ndarray:
+    def taus_of_t(self, ts: np.ndarray, tau_lo: float, tau_hi: float) -> np.ndarray:
         """Parameter where the tangent is orthogonal to (1-t, t), per t, or NaN off the arc.
 
         The angle is ``atan2(t ry, (1-t) rx)`` up to a multiple of pi.  The monotone
         split keeps the arc inside one quadrant, so only the shift nearest the middle
-        of the angle range can land in it.  Rounding may leave tau up to about 1e-12
-        outside [0, 1]; :meth:`ContourBranch.taus_at` clamps it to the branch.
+        of the angle range can land in it, so the window [tau_lo, tau_hi] goes unused.
+        Rounding may leave tau up to about 1e-12 outside [0, 1];
+        :meth:`ContourBranch.taus_at` clamps it to the branch.
         """
         base = _libm(math.atan2, ts * self.ry, (1.0 - ts) * self.rx)
         th = base + np.rint(((self.lo + self.hi) / 2 - base) / math.pi) * math.pi
@@ -177,26 +180,97 @@ class _ArcGeometry:
 
 
 class _SplineGeometry:
-    """Cubic spline through the samples, parametrized uniformly on [0, 1]."""
+    """Not-a-knot cubic spline through the samples at uniform knots on [0, 1].
+
+    The knot slopes solve one tridiagonal system whose end rows make the
+    first two and the last two pieces one cubic each (de Boor, *A Practical
+    Guide to Splines*, ch. IV), with the rows of SciPy's ``CubicSpline``.
+    ``c[:, i]`` holds the coefficients of piece i in powers of tau - knot i,
+    highest first; the end pieces extend beyond [0, 1].
+    """
 
     def __init__(self, samples: np.ndarray):
-        from scipy.interpolate import CubicSpline  # loaded by sampled contours only
+        n = len(samples)
+        self.knots = np.linspace(0.0, 1.0, n)
+        h = np.diff(self.knots)
+        slope = np.diff(samples, axis=0) / h[:, None]
+        # row i reads lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        d0, d1 = h[0] + h[1], h[-2] + h[-1]
+        lower = np.concatenate([[0.0], h[1:], [d1]])
+        diag = np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]])
+        upper = np.concatenate([[d0], h[:-1], [0.0]])
+        rhs = np.concatenate([
+            [((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0],
+            3 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:]),
+            [(h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1],
+        ])
+        for i in range(1, n):  # no pivoting: on uniform knots every pivot stays above h/3
+            m = lower[i] / diag[i - 1]
+            diag[i] -= m * upper[i - 1]
+            rhs[i] -= m * rhs[i - 1]
+        s = rhs  # back substitution in place: the knot slopes
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        h = h[:, None]
+        excess = (s[:-1] + s[1:] - 2 * slope) / h  # SciPy's grouping, which keeps the last bits
+        self.c = np.stack([excess / h, (slope - s[:-1]) / h - excess, s[:-1], samples[:-1]])
 
-        self.taus = np.linspace(0.0, 1.0, len(samples))
-        self.spline = CubicSpline(self.taus, samples, axis=0, bc_type="not-a-knot")
+    def _local(self, tau):
+        """Piece index and offset from its knot, for each tau."""
+        tau = np.asarray(tau, dtype=np.float64)
+        i = np.clip(np.searchsorted(self.knots, tau, side="right") - 1, 0, len(self.knots) - 2)
+        return i, (tau - self.knots[i])[..., None]
 
     def point(self, tau):
-        return self.spline(tau)
+        i, s = self._local(tau)
+        c = self.c[:, i]
+        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
 
     def velocity(self, tau):
-        return self.spline(tau, 1)
+        i, s = self._local(tau)
+        c = self.c[:, i]
+        return (3 * c[0] * s + 2 * c[1]) * s + c[2]
 
     def acceleration(self, tau):
-        return self.spline(tau, 2)
+        i, s = self._local(tau)
+        c = self.c[:, i]
+        return 6 * c[0] * s + 2 * c[1]
+
+    def taus_of_t(self, ts: np.ndarray, tau_lo: float, tau_hi: float) -> np.ndarray:
+        """Parameter in [tau_lo, tau_hi] where the tangent is orthogonal to (1-t, t), per t,
+        or NaN where the orthogonality t(tau) = v1/(v1 - v2) at the window's ends does not
+        bracket t.
+
+        The knots inside the window cut it into cells.  On the first cell whose ends
+        bracket t, (1-t) v1 + t v2 is a quadratic in the offset from the piece's knot, and
+        its root nearest the cell's middle is the hit.  The window's own ends are exact
+        where t equals their orthogonality t.
+        """
+        cuts = np.concatenate([[tau_lo], self.knots[(self.knots > tau_lo) & (self.knots < tau_hi)],
+                               [tau_hi]])
+        v = self.velocity(cuts)
+        dt = v[:, 0] / (v[:, 0] - v[:, 1]) - ts[..., None]  # orthogonality t at the cuts, minus t
+        cell = np.argmax(dt[..., :-1] * dt[..., 1:] <= 0.0, axis=-1)
+        i = self._local(cuts[cell])[0]
+        s_lo, s_hi = cuts[cell] - self.knots[i], cuts[cell + 1] - self.knots[i]
+        a, b, c = (_projection(k * self.c[j, i], ts) for j, k in ((0, 3.0), (1, 2.0), (2, 1.0)))
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4 * a * c, 0.0)), b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack([q / a, c / q])  # the two roots, without cancellation
+        off = np.abs(roots - (s_lo + s_hi) / 2)
+        off[np.isnan(off)] = np.inf
+        s = np.where(off[0] <= off[1], roots[0], roots[1])
+        taus = self.knots[i] + np.minimum(np.maximum(s, s_lo), s_hi)
+        taus = np.where(dt[..., -1] == 0.0, tau_hi, taus)
+        taus = np.where(dt[..., 0] == 0.0, tau_lo, taus)
+        return np.where(dt[..., 0] * dt[..., -1] <= 0.0, taus, np.nan)
 
     def translated(self, dx, dy):
-        shifted = self.spline(self.taus) + np.array([dx, dy])
-        return _SplineGeometry(shifted)
+        out = copy.copy(self)
+        out.c = self.c.copy()
+        out.c[3] += (dx, dy)
+        return out
 
 
 class Contour:
@@ -208,7 +282,13 @@ class Contour:
 
     def __init__(self, samples, contour_id: str = "contour", provenance: str = "user",
                  geometry=None):
-        samples = np.asarray(samples, dtype=np.float64)
+        try:
+            samples = np.asarray(samples, dtype=np.float64)
+        except (ValueError, TypeError) as exc:  # ragged rows, or entries that are not numbers
+            raise ContourError(
+                f"shape violation: contour {contour_id!r} has samples that are not an (n, 2) "
+                f"array of numbers ({exc})"
+            ) from None
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ContourError(
                 f"shape violation: contour {contour_id!r} has samples of shape {samples.shape}, "
@@ -485,8 +565,8 @@ class ContourBranch:
     def taus_at(self, ts) -> np.ndarray:
         """Parameter of the orthogonal hit at each t, NaN outside the branch domain.
 
-        Closed form on arcs.  On sampled contours, one Brent root per t (xtol 1e-13)
-        over the branch, where the orthogonality profile is monotone.
+        In closed form on both geometries (:meth:`_ArcGeometry.taus_of_t`,
+        :meth:`_SplineGeometry.taus_of_t`), clamped to the branch.
         """
         ts = np.asarray(ts, dtype=np.float64)
         lo, hi = self.t_min, self.t_max
@@ -494,23 +574,9 @@ class ContourBranch:
             return np.full(ts.shape, np.nan)
         inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
         t_in = np.minimum(np.maximum(ts, lo), hi)
-        if self.contour.is_analytic:
-            taus = self.contour.geometry.taus_of_t(t_in)
-            inside &= (taus >= self.tau_lo - 1e-9) & (taus <= self.tau_hi + 1e-9)
-            return np.where(inside, np.minimum(np.maximum(taus, self.tau_lo), self.tau_hi), np.nan)
-        c = self.contour
-        t_a, t_b = t_of_orthogonality(c, self.tau_lo), t_of_orthogonality(c, self.tau_hi)
-        taus = np.full(ts.shape, np.nan)
-        for k in np.flatnonzero(inside).tolist():
-            t = float(t_in[k])
-            if t_a == t:
-                taus[k] = self.tau_lo
-            elif t_b == t:
-                taus[k] = self.tau_hi
-            elif (t_a - t) * (t_b - t) <= 0.0:
-                taus[k] = _brentq(lambda x: t_of_orthogonality(c, x) - t,
-                                  self.tau_lo, self.tau_hi, xtol=1e-13)
-        return taus
+        taus = self.contour.geometry.taus_of_t(t_in, self.tau_lo, self.tau_hi)
+        inside &= (taus >= self.tau_lo - 1e-9) & (taus <= self.tau_hi + 1e-9)
+        return np.where(inside, np.minimum(np.maximum(taus, self.tau_lo), self.tau_hi), np.nan)
 
     def hits(self, ts) -> "_Hits":
         """Points, projections and osculating data of the hits at each t."""
@@ -886,9 +952,8 @@ def _deduplicate(points: list[SpecialValue], families: list[SpecialValue]) -> li
     return sorted(merged + unique_families, key=lambda s: (s.t, _CONDITION_PRIORITY[s.condition]))
 
 
-def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
-                           contours_f, contours_h) -> CmdResult:
-    """Distance maximum evaluated only at the special values of the contour pair.
+def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int, specials) -> CmdResult:
+    """Distance maximum evaluated only at ``specials``, the list :func:`special_values` returns.
 
     Degenerate families are sampled at 17 Chebyshev points of their
     interval.  The gap is the Lipschitz bound over the evaluated ``t``:
@@ -898,7 +963,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int,
     [0, 1].  For a gap within ``eps``, run :func:`cmdist.convex.cmd_maximize`.
     """
     ts: list[float] = []
-    for sv in special_values(contours_f, contours_h):
+    for sv in specials:
         if sv.condition == "degenerate-family":
             interval = sv.witnesses[0]["interval"]
             ts.extend(_chebyshev_nodes(interval[0], interval[1]))
@@ -981,11 +1046,7 @@ def load_contours(path) -> list[Contour]:
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "samples" not in row:
             raise ContourError(f"{path}: contour #{i} missing 'samples'")
-        out.append(Contour(
-            np.asarray(row["samples"], dtype=np.float64),
-            row.get("id", f"contour-{i}"),
-            row.get("provenance", "file"),
-        ))
+        out.append(Contour(row["samples"], row.get("id", f"contour-{i}"), row.get("provenance", "file")))
     return out
 
 

@@ -6,7 +6,8 @@ shortcuts, a bottleneck distance by binary search over the candidate grid
 with a direct quadratic matching check, one
 by binary search over the realized costs with SciPy's bipartite matching,
 one by enumerating every bijection, the branch-and-bound that bounds each
-interval by its midpoint value alone, scalar ``math`` versions of the
+interval by its midpoint value alone, SciPy's not-a-knot cubic spline
+through contour samples, scalar ``math`` versions of the
 contour hits, osculating circles and special-value conditions, and the
 fixture triangulations built one triangle at a time.  Kept
 separate from the package so each route is computed twice by different code.
@@ -17,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -331,6 +333,15 @@ def bottleneck_bruteforce(d1, d2, limit=12):
 # --- contour geometry -------------------------------------------------------------
 
 
+def not_a_knot_spline(samples):
+    """SciPy's not-a-knot ``CubicSpline`` through the samples at uniform knots on [0, 1].
+
+    Call it with ``nu`` = 0, 1, 2 for point, velocity and acceleration; it
+    extends the end pieces beyond [0, 1].
+    """
+    return CubicSpline(np.linspace(0.0, 1.0, len(samples)), samples, axis=0, bc_type="not-a-knot")
+
+
 def arc_taus_of_t(geometry, t):
     """Every tau where an ellipse arc's tangent is orthogonal to (1-t, t).
 
@@ -381,9 +392,12 @@ def branch_tau_at(branch, t):
     return float(brentq(f, branch.tau_lo, branch.tau_hi, xtol=1e-13))
 
 
-def branch_hit(branch, t):
-    """(tau, (x, y), w) of the branch's hit at t, all NaN without one; w = x (1-t) + y t."""
-    tau = branch_tau_at(branch, t)
+def branch_hit(branch, t, tau=None):
+    """(tau, (x, y), w) of the branch's hit at t, all NaN without one; w = x (1-t) + y t.
+
+    ``tau`` defaults to :func:`branch_tau_at`.
+    """
+    tau = branch_tau_at(branch, t) if tau is None else tau
     if math.isnan(tau):
         return math.nan, (math.nan, math.nan), math.nan
     x, y = (float(v) for v in branch.contour.point(tau))

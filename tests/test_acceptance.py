@@ -177,7 +177,7 @@ def test_criterion_08_special_value_route():
     _, h = get_fixture("ellipsoid(2,1)", 64)
     sph = analytic_contours("sphere")
     ell = analytic_contours("ellipsoid(2,1)")
-    via_special = cmd_via_special_values(f, h, 0, sph, ell)
+    via_special = cmd_via_special_values(f, h, 0, special_values(sph, ell))
     ok = abs(via_special.value - 1.0) <= 0.05
     ok &= via_special.argmax_t == 0.0
     reference = cmd_maximize(f, h, 0, 1e-3)

@@ -1,7 +1,9 @@
 import json
 import math
 
-from cmdist import PersistenceDiagram, analytic_contours, fixture, save_complex, save_contours
+import pytest
+
+from cmdist import PersistenceDiagram, analytic_contours, cli, fixture, pareto, save_complex, save_contours
 from cmdist.cli import RunConfig, main, run
 
 
@@ -195,6 +197,31 @@ def test_cmd_grid_mode_rejects_an_empty_grid(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: grid needs at least one cell\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", [[[0, 1], [1, 0, 2], [2, -1]], [[0, 1], [1, "x"]],
+                                     [[0, 1], [1, {}]]])
+def test_malformed_contour_samples_exit_1(tmp_path, capsys, samples):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"contours": [{"id": "broken-arc", "samples": samples}]}))
+    assert main(["special", "--contours", str(path), "--fixture2", "sphere:16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: shape violation: contour 'broken-arc'")
+    assert captured.out == ""
+
+
+def test_cmd_special_plot_computes_special_values_once(tmp_path, monkeypatch):
+    calls, original = [], pareto.special_values
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "special_values", counted)
+    monkeypatch.setattr(pareto, "special_values", counted)
+    code = run(RunConfig("cmd", fixture="sphere:16", fixture2="ellipsoid(2,1):16", mode="special",
+                         out=str(tmp_path / "c.json"), plot=str(tmp_path / "trace.svg")))
+    assert code == 0 and len(calls) == 1
 
 
 def test_missing_second_input():

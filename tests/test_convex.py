@@ -19,6 +19,7 @@ from cmdist import (
     slice_grid,
     SlicePoint,
     analytic_contours,
+    special_values,
 )
 
 from conftest import get_fixture
@@ -150,9 +151,9 @@ def test_cmd_infinite_when_essential_counts_differ(sphere64, disk64):
     """g is infinite at every t or at none, so every route returns after g(0)."""
     _, f = sphere64
     _, h = disk64
-    contours = analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)")
+    specials = special_values(analytic_contours("sphere"), analytic_contours("ellipsoid(2,1)"))
     for result in (cmd_maximize(f, h, 2, 1e-3), grid_scan(f, h, 2),
-                   cmd_via_special_values(f, h, 2, *contours)):
+                   cmd_via_special_values(f, h, 2, specials)):
         assert result.value == math.inf
         assert result.gap == 0.0
         assert result.evaluations == 1

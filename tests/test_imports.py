@@ -1,4 +1,4 @@
-"""Import budget: ``import cmdist`` loads no SciPy, and each call loads only what it needs.
+"""Import budget: neither ``import cmdist`` nor any call into it loads SciPy.
 
 Each check runs in a fresh interpreter, since this test session has SciPy
 loaded already.  The child records the SciPy modules in ``sys.modules``
@@ -20,7 +20,7 @@ import cmdist
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cmdist.__file__)))
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -30,7 +30,7 @@ import cmdist, cmdist.cli
 stages["import"] = scipy_modules()
 
 from cmdist import PersistenceDiagram, bottleneck_distance, cli, cmd_maximize, fixture
-from cmdist.pareto import Contour, analytic_contours
+from cmdist.pareto import Contour, analytic_contours, save_contours, special_values
 
 cone, disk = fixture("cone", 16)[1], fixture("disk", 16)[1]
 cmd_maximize(cone, disk, 0, 5e-2)
@@ -46,9 +46,20 @@ stages["cmd-deg1"] = scipy_modules()
 bottleneck_distance(PersistenceDiagram.from_pairs(0, [(0.0, 1.0)]),
                     PersistenceDiagram.from_pairs(0, [(0.25, 1.5), (0.5, 0.75)]))
 stages["two-sided-bottleneck"] = scipy_modules()
-arc = analytic_contours("sphere")[0]
-Contour(arc.samples, "sampled", "test")
+sampled = [[Contour(c.samples, c.id + ":sampled", "test") for c in analytic_contours(name)]
+           for name in ("sphere", "ellipsoid(2,1)")]
 stages["sampled-contour"] = scipy_modules()
+special_values(*sampled)
+stages["sampled-special-values"] = scipy_modules()
+with tempfile.TemporaryDirectory() as tmp:
+    paths = [os.path.join(tmp, f"c{i}.json") for i in (1, 2)]
+    for path, contours in zip(paths, sampled):
+        save_contours(path, contours)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["cmd", "--fixture", "sphere:16", "--fixture2", "ellipsoid(2,1):16",
+                         "--mode", "special", "--contours", paths[0], "--contours2", paths[1]])
+assert code == 0
+stages["sampled-cli-special"] = scipy_modules()
 print(json.dumps(stages))
 """
 
@@ -71,8 +82,9 @@ def test_two_sided_bottleneck_loads_no_scipy(stages):
     assert stages["two-sided-bottleneck"] == []
 
 
-def test_sampled_contour_loads_interpolate(stages):
-    assert "scipy.interpolate" in stages["sampled-contour"]
+@pytest.mark.parametrize("stage", ["sampled-contour", "sampled-special-values", "sampled-cli-special"])
+def test_sampled_contours_load_no_scipy(stages, stage):
+    assert stages[stage] == []
 
 
 def test_traced_names_resolve(monkeypatch):

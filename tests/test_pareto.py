@@ -106,6 +106,21 @@ def test_contour_round_trip(tmp_path, sphere_contours):
     assert np.max(np.abs(loaded[1].point(taus) - sphere_contours[1].point(taus))) < 1e-6
 
 
+@pytest.mark.parametrize("n", [8, 9, 33, 65, 500, 2000])
+def test_spline_matches_scipy_not_a_knot(n):
+    theta = np.linspace(math.pi, 1.5 * math.pi, n)
+    radius = 1.0 + 0.01 * np.sin(7 * theta)  # a wobble, so no piece is the arc itself
+    c = Contour(np.column_stack([radius * np.cos(theta), 0.5 * radius * np.sin(theta)]), "wobbly", "test")
+    reference = oracles.not_a_knot_spline(c.samples)
+    knots = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    # knots, interior points, and the 5-point stencil of _osculation beyond both ends
+    taus = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, rng.uniform(0.0, 1.0, 200),
+                           [-2e-4, -1e-4, 1.0 + 1e-4, 1.0 + 2e-4]])
+    for nu, value, tol in ((0, c.point, 1e-13), (1, c.velocity, 1e-12), (2, c.acceleration, 1e-10)):
+        assert np.max(np.abs(value(taus) - reference(taus, nu))) <= tol, nu
+
+
 def test_monotone_split_violation():
     xs = np.linspace(0, 1, 12)
     with pytest.raises(ContourError, match="monotone-split"):
@@ -135,6 +150,11 @@ def test_sample_shape_violation():
     }
     for shape, samples in cases.items():
         with pytest.raises(ContourError, match=re.escape(f"samples of shape {shape}, needs (n, 2)")):
+            Contour(samples, "bad", "test")
+    # ragged rows, a string and a mapping as a coordinate
+    for samples in ([[0, 1], [1, 0, 2], [2, -1]], [[0, 1], [1, "x"]], [[0, 1], [1, {}]]):
+        with pytest.raises(ContourError, match=re.escape("contour 'bad' has samples that are not "
+                                                         "an (n, 2) array of numbers")):
             Contour(samples, "bad", "test")
 
 
@@ -486,6 +506,14 @@ def test_branch_tables_match_the_scalar_routines(tmp_path):
             refs.append([])
             for idx, t in enumerate(tables.ts.tolist()):
                 tau, p, w = oracles.branch_hit(b, t)
+                if not (b.contour.is_analytic or math.isnan(tau)):
+                    # the closed-form root is orthogonal and within 1e-12 of the reference's
+                    # Brent root (xtol 1e-13); the references below start from it
+                    got = float(b.taus_at([t])[0])
+                    v = b.contour.velocity(got)
+                    assert abs(got - tau) <= 1e-12, (name, i, t)
+                    assert abs(v[0] * (1 - t) + v[1] * t) / math.hypot(*v) <= 1e-12, (name, i, t)
+                    tau, p, w = oracles.branch_hit(b, t, got)
                 circle = None if math.isnan(tau) else oracles.osculating_circle(b.contour, tau)
                 refs[i].append((w, circle))
                 if idx % 4 == 0:  # one-element calls on a subset of the grid
@@ -616,7 +644,7 @@ def test_special_value_route_matches_branch_and_bound():
     _, h = get_fixture("ellipsoid(2,1)", 64)
     sph = analytic_contours("sphere")
     ell = analytic_contours("ellipsoid(2,1)")
-    via_special = cmd_via_special_values(f, h, 0, sph, ell)
+    via_special = cmd_via_special_values(f, h, 0, special_values(sph, ell))
     assert via_special.mode == "special-values"
     assert abs(via_special.value - 1.0) <= 0.05
     assert via_special.argmax_t == 0.0
@@ -652,8 +680,8 @@ def test_maximizer_lands_on_a_special_value(pair):
 def test_special_value_route_gap_bounds_a_dense_sweep():
     _, f = get_fixture("sphere", 16)
     _, h = get_fixture("ellipsoid(2,1)", 16)
-    result = cmd_via_special_values(f, h, 0, analytic_contours("sphere"),
-                                    analytic_contours("ellipsoid(2,1)"))
+    result = cmd_via_special_values(f, h, 0, special_values(analytic_contours("sphere"),
+                                                            analytic_contours("ellipsoid(2,1)")))
     assert math.isfinite(result.gap) and result.gap >= 0.0
     assert result.evaluations == len(result.trace)
     assert "Lipschitz" in result.note
@@ -665,7 +693,7 @@ def test_special_value_route_identical_inputs():
     _, f = get_fixture("sphere", 16)
     sph = analytic_contours("sphere")
     copies = [Contour(c.samples, c.id + ":b", c.provenance, c.geometry) for c in sph]
-    result = cmd_via_special_values(f, f, 0, sph, copies)
+    result = cmd_via_special_values(f, f, 0, special_values(sph, copies))
     assert result.value == 0.0
 
 
