@@ -38,6 +38,17 @@ def _first(keys: np.ndarray, queries: np.ndarray):
     return np.where(np.append(keys, -1)[at] == queries, at, -1), by_key[1:][srt[1:] == srt[:-1]]
 
 
+def _sorted_columns(rows: np.ndarray) -> list[np.ndarray]:
+    """Columns of rows of two or three entries, each row sorted ascending, by compare-swaps.
+
+    See :func:`cmdist.persistence.simplex_values` on work over short rows.
+    """
+    cols = list(rows.T)
+    for i, j in ((0, 1), (1, 2), (0, 1)) if len(cols) == 3 else ((0, 1),):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return cols
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Triangle mesh: vertex positions plus edge and triangle index arrays.
@@ -62,20 +73,21 @@ class SimplicialComplex:
             raise MeshError("vertices must be an (n, 3) array")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("vertex coordinates must be finite")
-        edges = np.sort(edges, axis=1)
-        triangles = np.sort(triangles, axis=1)
+        ecols, tcols = _sorted_columns(edges), _sorted_columns(triangles)
+        edges, triangles = np.column_stack(ecols), np.column_stack(tcols)
         n = len(vertices)
-        for name, arr in (("edge", edges), ("triangle", triangles)):
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
+        for name, cols in (("edge", ecols), ("triangle", tcols)):
+            if len(cols[0]) and (cols[0].min() < 0 or cols[-1].max() >= n):
                 raise MeshError(f"{name} references a vertex index out of range")
-            if arr.size and np.any(np.diff(arr, axis=1) == 0):
+            if any(np.any(lo == hi) for lo, hi in zip(cols, cols[1:])):
                 raise MeshError(f"degenerate {name} with a repeated vertex")
-        triangle_edges, repeats = _first(edges[:, 0] * n + edges[:, 1],
-                                         triangles[:, _FACE_LO] * n + triangles[:, _FACE_HI])
+        (a, b, c), ab = tcols, tcols[0] * n + tcols[1]
+        triangle_edges, repeats = _first(ecols[0] * n + ecols[1], np.column_stack([ab, a * n + c, b * n + c]))
         if len(repeats):
             raise MeshError("duplicate edges")
-        rows = triangles[np.lexsort(triangles.T[::-1])]
-        if np.any((rows[1:] == rows[:-1]).all(axis=1)):
+        srt = np.lexsort((c, ab))
+        ab, c = ab[srt], c[srt]
+        if np.any((ab[1:] == ab[:-1]) & (c[1:] == c[:-1])):
             raise MeshError("duplicate triangles")
         missing = np.flatnonzero(triangle_edges.ravel() < 0)  # by triangle, then face
         if len(missing):
@@ -91,15 +103,14 @@ class SimplicialComplex:
     @classmethod
     def from_triangles(cls, vertices, triangles, extra_edges=()) -> "SimplicialComplex":
         """Build a complex whose edge set is the triangle edges plus ``extra_edges``."""
-        triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        triangles = np.sort(triangles, axis=1)
-        pieces = [triangles[:, [0, 1]], triangles[:, [0, 2]], triangles[:, [1, 2]]]
-        if len(extra_edges):
-            pieces.append(np.sort(np.asarray(extra_edges, dtype=np.int64).reshape(-1, 2), axis=1))
-        edges, n = np.vstack(pieces), len(vertices)
-        if edges.size and edges.min() >= 0 and edges.max() < n:  # out-of-range rows fail validation
-            edges = np.column_stack(np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n))
-        return cls(np.asarray(vertices, dtype=np.float64), edges, triangles)
+        a, b, c = _sorted_columns(np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
+        d, e = _sorted_columns(np.asarray(extra_edges, dtype=np.int64).reshape(-1, 2))
+        lo, hi, n = np.concatenate([a, a, b, d]), np.concatenate([b, c, c, e]), len(vertices)
+        if len(lo) and lo.min() >= 0 and hi.max() < n:  # out-of-range rows fail validation
+            codes = np.sort(lo * n + hi)  # np.unique takes a slower hash path on int64
+            lo, hi = np.divmod(codes[np.append(True, codes[1:] != codes[:-1])], n)
+        return cls(np.asarray(vertices, dtype=np.float64), np.column_stack([lo, hi]),
+                   np.column_stack([a, b, c]))
 
     @property
     def n_vertices(self) -> int:
@@ -122,6 +133,17 @@ class SimplicialComplex:
         out[e[~second], 0] = t[~second]
         out[e[second], 1] = t[second]
         out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _dual_arrays(self):
+        """Read-only dual-pass arrays, given :attr:`edge_cofaces`: the triangle vertex
+        columns, the coface columns padded with the ground node ``len(triangles)``, their sum."""
+        nt = len(self.triangles)
+        cof = [np.where(c < 0, nt, c) for c in self.edge_cofaces.T]
+        out = (*(np.ascontiguousarray(c) for c in self.triangles.T), *cof, cof[0] + cof[1])
+        for a in out:
+            a.flags.writeable = False
         return out
 
 

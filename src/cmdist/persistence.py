@@ -25,12 +25,15 @@ of a boundary edge.  Each triangle dies at its leading edge, the face
 without its lowest vertex, except the older of two triangles that share it;
 the union-find runs over the first of the other edges that join each pair
 of dual basins, and is skipped in the same way when the ground node's is
-the only dual basin.  The finite degree-1 points are the dual merges, the
-degree-1 essentials the edges negative in neither pass, and the degree-2
-essentials the dual roots other than the ground node.  This needs every
-edge in at most two triangles; on other complexes the triangle boundary
-columns, in key order, are reduced over the two-element field instead,
-with the same forward pass for the negative edges.
+the only dual basin.  The finite degree-1 points are the dual merges (a
+triangle and its leading edge enter together, so those pairs are only
+marked negative), the degree-1 essentials the edges negative in neither
+pass, and the degree-2 essentials the dual roots other than the ground
+node.  Both passes compare rank columns instead of reducing short rows,
+and the complex keeps the dual arrays that do not depend on values.  This
+needs every edge in at most two triangles; on other complexes the triangle
+boundary columns, in key order, are reduced over the two-element field
+instead, with the same forward pass for the negative edges.
 
 An explicit :class:`Filtration` holds its simplices as padded rows of
 vertex ids; :func:`lower_star_filtration` builds them without tuples.  The
@@ -172,8 +175,10 @@ def _diagram(k, births, deaths, essential_births) -> PersistenceDiagram:
 def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """Largest vertex value of each row of ``simplices``.
 
-    Column-wise ``np.maximum``: ``values[simplices].max(axis=1)`` gives the
-    same floats but is about ten times slower on rows of length 2 or 3.
+    Column-wise ``np.maximum``.  On rows of length 2 or 3, ``max``, ``min``,
+    ``argmin``, ``sort`` and ``diff`` with ``axis=1`` are several times
+    slower than the same work done column by column (compare-swaps for a
+    sort), as here, in the dual pass and in mesh construction.
     """
     out = values[simplices[:, 0]]
     for c in range(1, simplices.shape[1]):
@@ -265,17 +270,21 @@ class _LowerStar:
         older of two triangles that share the prefix, which the younger
         joins; pointer jumping finds these dual basins, and
         :func:`_basin_merges` runs the union-find over the edges that join
-        them, in reverse key order.  Returns the (edge, triangle) pairs and
+        them, in reverse key order.  A pointing triangle (w, a, b) and its
+        leading edge (w, a) both enter at f(w): the edge is negative, but the
+        pair has zero persistence, so it is not gathered.  Returns the
+        negative edges, the (edge, triangle) pairs of the dual merges, and
         the triangles left as roots.
         """
         cx = self.complex
-        nt = len(cx.triangles)
-        node = np.arange(nt)
-        rt = self.rank[cx.triangles]
-        rmin = rt.min(axis=1)
-        lead = cx.triangle_edges[node, 2 - rt.argmin(axis=1)]
-        cof = np.where(cx.edge_cofaces < 0, nt, cx.edge_cofaces)
-        other = np.where(cof[lead, 0] == node, cof[lead, 1], cof[lead, 0])
+        t0, t1, t2, cof0, cof1, cofsum = cx._dual_arrays
+        nt, node = len(t0), np.arange(len(t0))
+        r0, r1, r2 = self.rank[t0], self.rank[t1], self.rank[t2]
+        rmin = np.minimum(np.minimum(r0, r1), r2)
+        # ranks are distinct; faces (a, b), (a, c), (b, c) leave out c, b, a
+        face = np.where(r2 == rmin, 0, np.where(r1 == rmin, 1, 2))
+        lead = cx.triangle_edges.ravel()[3 * node + face]
+        other = cofsum[lead] - node  # a triangle is a coface of its leading edge
         is_root = ((np.append(lead, -1)[other] == lead)
                    & (np.append(rmin, -1)[other] < rmin))
         roots = np.flatnonzero(is_root)
@@ -284,16 +293,15 @@ class _LowerStar:
         # a pointing triangle shares its basin with the coface across its
         # leading edge, so the joins never include a leading edge
         dying, merges, left = _basin_merges(np.append(np.where(is_root, node, other), nt), roots,
-                                            cof[:, 0], cof[:, 1], lambda e: -self._edge_key(e))
-        pointing = np.flatnonzero(~is_root)
-        return (np.concatenate([lead[pointing], merges]),
-                np.concatenate([pointing, roots[dying]]), roots[left[1:]])
+                                            cof0, cof1, lambda e: -self._edge_key(e))
+        return np.concatenate([lead[~is_root], merges]), merges, roots[dying], roots[left[1:]]
 
     def _reduction_pass(self):
         """Degrees 1-2 on any complex: the triangle columns reduced in key order.
 
-        Rows are the edges in key order.  Returns the (edge, triangle) pairs
-        and the triangles whose columns reduce to zero.
+        Rows are the edges in key order.  Returns what :meth:`_dual_pass`
+        does: the negative edges, the (edge, triangle) pairs, here all of
+        them, and the triangles whose columns reduce to zero.
         """
         cx = self.complex
         edge_at = np.lexsort(self.key(cx.edges).T)
@@ -301,7 +309,7 @@ class _LowerStar:
         row[edge_at] = np.arange(len(edge_at))
         tri_at = np.lexsort(self.key(cx.triangles).T)
         pivots, paired, zero = _reduce_bit_columns(row[cx.triangle_edges[tri_at]])
-        return edge_at[pivots], tri_at[paired], tri_at[zero]
+        return edge_at[pivots], edge_at[pivots], tri_at[paired], tri_at[zero]
 
     def _triangle_pass(self):
         if self.complex.edge_cofaces is None:  # an edge in three or more triangles
@@ -320,17 +328,17 @@ class _LowerStar:
 
     def dgm1(self):
         step, _minima, _dying, merges, _left = self._vertex_pass()
-        pair_edges, pair_tris, _ = self._triangle_pass()
+        negative, pair_edges, pair_tris, _ = self._triangle_pass()
         # essential: negative in neither pass; the first kind of negative edge
         # is each non-minimum vertex's descending edge
         essential = self.lo != step[self.hi]
         essential[merges] = False
-        essential[pair_edges] = False
+        essential[negative] = False
         return (self._edge_values(pair_edges), self._triangle_values(pair_tris),
                 self._edge_values(np.flatnonzero(essential)))
 
     def dgm2(self):
-        _pe, _pt, roots = self._triangle_pass()
+        *_, roots = self._triangle_pass()
         none = np.empty(0)
         return none, none, self._triangle_values(roots)
 

@@ -178,6 +178,34 @@ def test_validation_matches_a_set_reference():
         assert got == expected
 
 
+def test_from_triangles_edges_match_a_unique_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n = int(rng.integers(3, 12))
+        combos = np.array([rng.permutation(n)[:3] for _ in range(int(rng.integers(0, 12)))]).reshape(-1, 3)
+        triangles = combos[np.unique(np.sort(combos, axis=1), axis=0, return_index=True)[1]]
+        # repeated and reversed triangle edges, and every so often a degenerate or out-of-range row
+        extra = np.vstack([triangles[:, [2, 0]], rng.integers(0, n, size=(int(rng.integers(0, 5)), 2))])
+        if trial % 7 == 3:
+            extra = np.vstack([extra, [[int(rng.integers(0, n)), n]]])
+        if trial % 11 == 5:
+            extra = np.vstack([extra, [[-1, int(rng.integers(0, n))]]])
+        if trial % 13 == 8 and len(triangles):
+            triangles = np.vstack([triangles, [[0, 1, n + 2]]])
+        raw = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [0, 2]], extra])
+        in_range = raw.size == 0 or (raw.min() >= 0 and raw.max() < n)
+        edges = np.unique(np.sort(raw, axis=1), axis=0) if in_range else raw
+        expected = _reference_validation_error(n, edges.tolist(), triangles.tolist())
+        try:
+            cx = SimplicialComplex.from_triangles(np.zeros((n, 3)), triangles, extra)
+        except MeshError as exc:
+            assert str(exc) == expected, trial
+            continue
+        assert expected is None, trial
+        assert np.array_equal(cx.edges, edges), trial
+        assert np.array_equal(cx.triangles, np.sort(triangles, axis=1)), trial
+
+
 def test_vertex_indices_above_two_to_the_21():
     # with n = 2**22 vertices the codes a*n*n + b*n + c of these two triangles
     # differ by 2**20 * n * n = 2**64, so int64 codes of whole triangles would collide

@@ -281,6 +281,41 @@ def test_dual_route_and_fallback_on_random_complexes():
     assert routes == {"no triangles", "dual", "fallback"}
 
 
+def _assert_dual_pass_matches_reduction_pass(cx, values, label):
+    """Same negative edges, positive-persistence value pairs and degree-2 roots."""
+    ls = persistence._LowerStar(cx, values)
+    dual, reduction = ls._dual_pass(), ls._reduction_pass()
+    assert np.array_equal(np.sort(dual[0]), np.sort(reduction[0])), label
+    pairs = []
+    for _negative, edges, triangles, _roots in (dual, reduction):
+        births, deaths = ls._edge_values(edges), ls._triangle_values(triangles)
+        keep = births < deaths
+        pairs.append(sorted(zip(births[keep].tolist(), deaths[keep].tolist())))
+    assert pairs[0] == pairs[1], label
+    assert np.array_equal(np.sort(dual[3]), np.sort(reduction[3])), label
+    assert not any(a.flags.writeable for a in cx._dual_arrays), label
+
+
+def test_dual_pass_matches_reduction_pass():
+    rng = np.random.default_rng(59)
+    drawn = 0
+    while drawn < 80:
+        cx = random_complex(rng)
+        if len(cx.triangles) == 0 or cx.edge_cofaces is None:
+            continue
+        values = random_vertex_values(rng, cx.n_vertices, ties=True)
+        if drawn % 2:
+            values = np.round(values)  # plateaus
+        _assert_dual_pass_matches_reduction_pass(cx, values, drawn)
+        drawn += 1
+    for name in ("cone", "disk", "sphere", "ellipsoid(2,1)"):
+        cx, f = get_fixture(name, 16)
+        for t in (0.0, 0.3, 1.0):
+            noisy = f.at(t) + rng.uniform(-0.1, 0.1, size=cx.n_vertices)
+            for values in (f.at(t), noisy, np.round(noisy, 1)):
+                _assert_dual_pass_matches_reduction_pass(cx, values, (name, t))
+
+
 def test_fin_on_cone_matches_naive_reduction():
     """One more triangle on an interior edge of cone:16, so that edge has three."""
     cx, f = get_fixture("cone", 16)
