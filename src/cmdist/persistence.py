@@ -9,15 +9,15 @@ linear extension of the filtration by value, so the diagrams are those of
 any other.
 
 The forward pass contracts every vertex into the basin of a local minimum:
-each vertex points at its lowest earlier neighbour, and pointer jumping
-takes it to the minimum at the end of that descending path.  The path lies
-in every sublevel set that holds the vertex, so a basin is connected as
-soon as it appears, and the elder-rule union-find runs only over the edges
-that join two basins.  That pass is degree 0.  With a single local minimum,
-as on the smooth built-in surfaces, all vertices lie in one basin, no edge
-joins two basins and nothing merges: the diagram is that minimum's
-essential class alone, and the pass returns it without pointer jumping or
-a union-find.
+each vertex points at an earlier neighbour, and pointer jumping takes it to
+the minimum at the end of that descending path.  The path lies in every
+sublevel set that holds the vertex, so a basin is connected as soon as it
+appears, and the elder-rule union-find runs only over the edges that join
+two basins.  Degree 0 needs no ranks: comparing values gives each edge's
+earlier end, and the minima are the vertices that are no edge's later end.
+With one minimum, as on the smooth built-in surfaces, nothing merges and no
+sort, pointer jumping or union-find runs.  Degree 1 runs the pass by rank,
+for the key order's negative edges.
 
 Degrees 1 and 2 add the same contraction on the dual graph in reverse
 order: the triangles plus a ground node, the oldest, for the missing coface
@@ -50,6 +50,7 @@ single big-int operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _basins(step, roots):
     """
     while True:
         nxt = step[step]
-        if np.array_equal(nxt, step):
+        if (nxt == step).all():
             break
         step = nxt
     number = np.empty(len(step), dtype=np.int64)
@@ -112,26 +113,25 @@ def _basins(step, roots):
     return number[step]
 
 
-def _basin_merges(step, roots, u, v, key):
+def _basin_merges(step, roots, u, v, order):
     """Elder-rule merges of the basins of ``step`` along the edges (u, v).
 
     ``step`` and ``roots`` are as in :func:`_basins`, ``u`` and ``v`` hold the
-    end nodes of every edge, and ``key(edges)`` gives the sort key of the
-    given edges; the keys must be distinct.  The union-find runs over the
-    basins and the edges that join two of them, in key order.  Only the
-    first join between two basins can merge them, so the later ones are
-    dropped before it.  With one basin every edge lies inside it, so nothing
-    merges and the single root survives: that case returns at once, without
-    pointer jumping.  Returns the dying basins, the edges that merge them,
-    and the surviving basins, basins as places in ``roots``.
+    end nodes of every edge, and ``order(edges)`` returns the given edges in
+    filtration order.  The union-find runs over the basins and the edges
+    that join two of them, in that order.  Only the first join between two
+    basins can merge them, so the later ones are dropped before it.  With
+    one basin every edge lies inside it, so nothing merges and the single
+    root survives: that case returns at once, without pointer jumping.
+    Returns the dying basins, the edges that merge them, and the surviving
+    basins, basins as places in ``roots``.
     """
     if len(roots) == 1:
         none = np.empty(0, dtype=np.int64)
         return none, none, np.zeros(1, dtype=np.int64)
     basin = _basins(step, roots)
     bu, bv = basin[u], basin[v]
-    joins = np.flatnonzero(bu != bv)
-    joins = joins[np.argsort(key(joins))]
+    joins = order(np.flatnonzero(bu != bv))
     bu, bv = bu[joins], bv[joins]
     _, first = np.unique(np.minimum(bu, bv) * len(roots) + np.maximum(bu, bv), return_index=True)
     first.sort()
@@ -194,26 +194,35 @@ def _padded(rows: np.ndarray) -> np.ndarray:
 class _LowerStar:
     """Lower-star persistence of one (complex, values) pair, degree by degree.
 
-    Vertices are ranked by (value, index), and simplices ordered by
-    :meth:`key`, their vertex ranks largest first, faces first.
+    Degree 0 compares values along the edges and needs no ranks.  The other
+    passes rank the vertices by (value, index), on first use, and order
+    simplices by :meth:`key`, their vertex ranks largest first, faces first.
     """
 
     def __init__(self, complex: SimplicialComplex, values):
         self.complex = complex
         values = values.values if isinstance(values, VertexFunction) else values
         self.values = np.asarray(values, dtype=np.float64)
-        if len(self.values) != complex.n_vertices:
-            raise MeshError("function length does not match vertex count")
-        n = len(self.values)
-        self.order = np.argsort(self.values, kind="stable")
-        # NaN sorts last and infinities next to the ends, so the ends decide finiteness
-        if n and not np.isfinite(self.values[self.order[[0, -1]]]).all():
+        if self.values.shape != (complex.n_vertices,):
+            raise MeshError("vertex function values must be a 1-D array with one entry per vertex")
+        if not np.isfinite(self.values).all():
             raise MeshError("vertex function values must be finite")
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.order] = np.arange(n)
-        ranked = self.rank[complex.edges]
-        self.lo = np.minimum(ranked[:, 0], ranked[:, 1])
-        self.hi = np.maximum(ranked[:, 0], ranked[:, 1])
+
+    @cached_property
+    def order(self):
+        return np.argsort(self.values, kind="stable")
+
+    @cached_property
+    def rank(self):
+        rank = np.empty(len(self.values), dtype=np.int64)
+        rank[self.order] = np.arange(len(rank))
+        return rank
+
+    @cached_property
+    def _ranked_edges(self):
+        """(lo, hi): the ranks of the earlier and the later end of each edge."""
+        r0, r1 = (self.rank[c] for c in self.complex.edges.T)
+        return np.minimum(r0, r1), np.maximum(r0, r1)
 
     def key(self, simplices: np.ndarray) -> np.ndarray:
         """(len, 3) key of each row: its vertex ranks ascending, left-padded with -1.
@@ -226,32 +235,28 @@ class _LowerStar:
         return _padded(np.sort(self.rank[simplices], axis=1))
 
     def _edge_values(self, idx):
-        return self.values[self.order[self.hi[idx]]]
+        return self.values[self.order[self._ranked_edges[1][idx]]]
 
     def _edge_key(self, idx):
         """Distinct integer of each edge, hi * n + lo, that sorts the edges in key order."""
-        return self.hi[idx] * len(self.values) + self.lo[idx]
+        lo, hi = self._ranked_edges
+        return hi[idx] * len(self.values) + lo[idx]
 
     def _vertex_pass(self):
-        """Forward pass: basin contraction, then union-find over basin joins.
+        """Degree 1's forward pass, by rank, so its negative edges are the key order's.
 
-        Every vertex descends to a local minimum through its lowest earlier
-        neighbour; that descending edge is the first edge of the vertex's
-        lower star and merges the vertex into the older component.  The
-        descending path lies in every sublevel set that holds the vertex,
-        so a basin is connected as soon as it appears and edges inside a
-        basin never merge two components.  The elder-rule union-find then
-        runs over the basin minima and the edges between basins, in key
-        order, through :func:`_basin_merges`.  Returns the one-step descent
-        by rank, the minima as vertices, then the dying minima, the edges
-        that merge them and the surviving minima, as places among the minima.
+        Every vertex descends through its lowest earlier neighbour, the first
+        edge of its lower star, which merges it into the older component;
+        :func:`_basin_merges` runs the joins in key order.  Returns the mask
+        of edges that are no vertex's descending edge, and the merging edges.
         """
         n = len(self.values)
-        lo, hi = self.lo, self.hi
+        lo, hi = self._ranked_edges
         step = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
         np.minimum.at(step, hi, lo)
         minima = np.flatnonzero(step == np.arange(n))
-        return (step, self.order[minima], *_basin_merges(step, minima, lo, hi, self._edge_key))
+        _, merges, _ = _basin_merges(step, minima, lo, hi, lambda e: e[np.argsort(self._edge_key(e))])
+        return lo != step[hi], merges
 
     def _dual_pass(self):
         """Reverse pass: union-find on the dual graph, contracted along leading edges.
@@ -293,7 +298,7 @@ class _LowerStar:
         # a pointing triangle shares its basin with the coface across its
         # leading edge, so the joins never include a leading edge
         dying, merges, left = _basin_merges(np.append(np.where(is_root, node, other), nt), roots,
-                                            cof0, cof1, lambda e: -self._edge_key(e))
+                                            cof0, cof1, lambda e: e[np.argsort(-self._edge_key(e))])
         return np.concatenate([lead[~is_root], merges]), merges, roots[dying], roots[left[1:]]
 
     def _reduction_pass(self):
@@ -322,16 +327,44 @@ class _LowerStar:
     # dgm0, dgm1 and dgm2 return the births and deaths of the finite pairs
     # and the births of the essential classes
     def dgm0(self):
-        _step, minima, dying, merges, left = self._vertex_pass()
-        births = self.values[minima]
-        return births[dying], self._edge_values(merges), births[left]
+        """Degree 0 without ranks, yet the diagram of the (value, index) order.
+
+        Edge rows ascend, so ``values[e0] <= values[e1]`` gives each edge's
+        earlier end in that order.  Any earlier neighbour keeps each basin
+        connected in every sublevel set that holds its vertices.  The joins
+        run in key order, except among those that share their later vertex:
+        they enter together at its value, and merging a set of components at
+        once kills all but the oldest whatever the order, so the (birth,
+        death) pairs are the same.  With one minimum nothing merges.
+        """
+        values = self.values
+        e0, e1 = self.complex.edges.T
+        first = values[e0] <= values[e1]
+        hi = np.where(first, e1, e0)
+        minima = np.flatnonzero(np.bincount(hi, minlength=len(values)) == 0)
+        if len(minima) <= 1:
+            return np.empty(0), np.empty(0), values[minima]
+        lo = np.where(first, e0, e1)
+        step = np.arange(len(values))
+        step[hi] = lo  # a repeated index keeps one of its values, each an earlier neighbour
+        minima = minima[np.argsort(values[minima], kind="stable")]
+
+        def by_later_end(joins):  # (value, index) of the later end, by quicksorts
+            joins = joins[np.argsort(values[hi[joins]])]
+            later, at = hi[joins], values[hi[joins]]
+            tied = at[1:] == at[:-1]
+            if np.any(tied & (later[1:] != later[:-1])):  # the index orders tied vertices
+                joins = joins[np.argsort(np.cumsum(np.append(0, ~tied)) * len(values) + later)]
+            return joins
+
+        dying, merges, left = _basin_merges(step, minima, lo, hi, by_later_end)
+        return values[minima[dying]], values[hi[merges]], values[minima[left]]
 
     def dgm1(self):
-        step, _minima, _dying, merges, _left = self._vertex_pass()
-        negative, pair_edges, pair_tris, _ = self._triangle_pass()
         # essential: negative in neither pass; the first kind of negative edge
         # is each non-minimum vertex's descending edge
-        essential = self.lo != step[self.hi]
+        essential, merges = self._vertex_pass()
+        negative, pair_edges, pair_tris, _ = self._triangle_pass()
         essential[merges] = False
         essential[negative] = False
         return (self._edge_values(pair_edges), self._triangle_values(pair_tris),

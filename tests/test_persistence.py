@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from cmdist import (
+    BiFunction,
     Filtration,
     MeshError,
     SimplicialComplex,
     VertexFunction,
+    bottleneck_distance,
+    cmd_maximize,
     compute_pairing,
     compute_persistence,
     g_value,
+    grid_scan,
     lower_star_diagram,
     lower_star_filtration,
     persistence,
@@ -53,6 +57,18 @@ def test_non_finite_lower_star_values_are_rejected(bad):
             lower_star_diagram(cx, values, k)
     with pytest.raises(MeshError, match="finite"):
         lower_star_filtration(cx, values)
+
+
+def test_misshaped_lower_star_values_are_rejected():
+    # a column would broadcast the degree-0 edge comparison to edges x edges
+    cx, f = get_fixture("cone", 16)
+    values = f.at(0.3)
+    for bad in (values[:, None], np.column_stack([values, values]), np.float64(0.5), values[:-1]):
+        for k in (0, 1, 2):
+            with pytest.raises(MeshError, match="1-D array with one entry per vertex"):
+                lower_star_diagram(cx, bad, k)
+        with pytest.raises(MeshError, match="1-D array with one entry per vertex"):
+            lower_star_filtration(cx, bad)
 
 
 def _significant(dgm, threshold=0.05):
@@ -147,9 +163,15 @@ def test_pairing_matches_naive_reduction():
         assert (pairing.pairs, pairing.essentials) == naive_pairing(filt), trial
 
 
+def _bit_rows(dgm):
+    """Finite rows and essential births as sorted bit patterns, so -0.0 and 0.0 differ."""
+    return (sorted(map(tuple, dgm.finite.view(np.int64).tolist())),
+            sorted(dgm.essential.view(np.int64).tolist()))
+
+
 def _full_edge_union_find(cx, values):
-    """Degree 0 by the elder-rule union-find over every edge in filtration order."""
-    return diagram_multiset(compute_persistence(lower_star_filtration(cx, values), 0))
+    """Degree 0 by the elder-rule union-find over every edge in filtration order, bit for bit."""
+    return _bit_rows(compute_persistence(lower_star_filtration(cx, values), 0))
 
 
 def _degree0_oracle(cx, values):
@@ -167,30 +189,51 @@ def _disjoint_union(rng):
                              np.vstack([a.triangles, b.triangles + shift]))
 
 
+def _signed_zero_plateaus(rng, values):
+    """Each value rounded to one decimal, or replaced by -0.0 or 0.0, at random."""
+    zeros = np.where(rng.random(len(values)) < 0.5, -0.0, 0.0)
+    return np.where(rng.random(len(values)) < 0.5, zeros, np.round(values, 1))
+
+
+def _bare_vertices(n, edges=()):
+    """n vertices and the given edges, no triangles: one-vertex, empty and isolated-vertex complexes."""
+    return SimplicialComplex(np.zeros((n, 3)), np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                             np.empty((0, 3), dtype=np.int64))
+
+
 def test_degree0_basin_kernel_matches_union_find_on_random_complexes():
     rng = np.random.default_rng(31)
+    zrng = np.random.default_rng(33)  # apart from ``rng``, so the trials stay as they were
+    cases = []
     for trial in range(120):
         cx = _disjoint_union(rng) if trial % 2 else random_complex(rng)
         values = random_vertex_values(rng, cx.n_vertices, ties=trial % 3 != 0)
         if trial % 5 == 0:
             values = np.round(values)  # plateaus: many equal vertex values
-        got = diagram_multiset(lower_star_diagram(cx, values, 0))
-        assert got == _full_edge_union_find(cx, values), f"trial {trial}"
-        assert got == _degree0_oracle(cx, values), f"trial {trial}"
+        cases += [(trial, cx, values), (trial, cx, _signed_zero_plateaus(zrng, values))]
+    for n, edges in ((0, ()), (1, ()), (6, ()), (6, [(1, 4), (2, 4)])):
+        cases += [(f"{n} bare", _bare_vertices(n, edges), v)
+                  for v in (zrng.normal(size=n), _signed_zero_plateaus(zrng, np.zeros(n)))]
+    for trial, cx, values in cases:
+        got = lower_star_diagram(cx, values, 0)
+        assert _bit_rows(got) == _full_edge_union_find(cx, values), f"trial {trial}"
+        assert diagram_multiset(got) == _degree0_oracle(cx, values), f"trial {trial}"
 
 
 def test_degree0_basin_kernel_matches_union_find_on_noisy_fixtures(all_fixture_names):
     rng = np.random.default_rng(37)
+    zrng = np.random.default_rng(39)
     for name in all_fixture_names:
         cx, f = get_fixture(name, 32)
         for t in (0.0, 0.35, 1.0):
             smooth = f.at(t)
             noisy = smooth + rng.uniform(-0.1, 0.1, size=len(smooth))
             # rounding to one decimal leaves plateaus, where many joins link the same basins
-            for values in (smooth, noisy, np.round(noisy, 2), np.round(noisy, 1)):
-                got = diagram_multiset(lower_star_diagram(cx, values, 0))
-                assert got == _full_edge_union_find(cx, values), (name, t)
-                assert got == _degree0_oracle(cx, values), (name, t)
+            for values in (smooth, noisy, np.round(noisy, 2), np.round(noisy, 1),
+                           _signed_zero_plateaus(zrng, noisy)):
+                got = lower_star_diagram(cx, values, 0)
+                assert _bit_rows(got) == _full_edge_union_find(cx, values), (name, t)
+                assert diagram_multiset(got) == _degree0_oracle(cx, values), (name, t)
 
 
 def _assert_dual_route(cx, values, label, oracle=True):
@@ -385,6 +428,44 @@ def test_one_basin_returns_before_pointer_jumping(monkeypatch):
     assert [g_value(f, h, 0, t) for f, h in pairs for t in ts] == expected
     # the disk has one dual basin as well, so degree 1 skips both contractions
     assert lower_star_diagram(disk, d.at(0.3), 1) == expected_disk
+
+
+def test_degree0_never_ranks_the_vertices(monkeypatch):
+    """Degree 0 compares values along the edges; only degrees 1-2 rank the vertices."""
+    smooth = [(get_fixture(a, 16)[1], get_fixture(b, 16)[1])
+              for a, b in (("cone", "disk"), ("sphere", "ellipsoid(2,1)"))]
+    rng = np.random.default_rng(53)
+
+    def noisy(f):
+        return BiFunction(f.complex, *(VertexFunction(phi.values + rng.uniform(-0.1, 0.1, len(phi)))
+                                       for phi in (f.phi1, f.phi2)))
+
+    pairs = smooth + [(noisy(f), noisy(h)) for f, h in smooth]
+    ts = (0.0, 0.3, 1.0)
+
+    def degree0():
+        return [(grid_scan(f, h, 0, 8).trace, cmd_maximize(f, h, 0, 1e-2).trace,
+                 [g_value(f, h, 0, t) for t in ts]) for f, h in pairs]
+
+    # references by the explicit filtration route, which ranks the vertices
+    diagrams = [[compute_persistence(lower_star_filtration(x.complex, x.at(t)), 0) for t in ts]
+                for pair in pairs for x in pair]
+    distances = [[bottleneck_distance(a, b) for a, b in zip(*diagrams[i:i + 2])]
+                 for i in range(0, len(diagrams), 2)]
+    expected = degree0()
+    assert [g for *_, g in expected] == distances
+
+    def no_ranks(self):
+        raise AssertionError("the vertices were ranked")
+
+    monkeypatch.setattr(persistence._LowerStar, "order", property(no_ranks))
+    assert [[lower_star_diagram(x.complex, x.at(t), 0) for t in ts]
+            for pair in pairs for x in pair] == diagrams
+    assert degree0() == expected
+    cx, f = get_fixture("cone", 16)
+    for k in (1, 2):
+        with pytest.raises(AssertionError, match="ranked"):
+            lower_star_diagram(cx, f.at(0.3), k)
 
 
 def test_fast_path_matches_filtration_path(sphere64):
