@@ -136,12 +136,22 @@ class SimplicialComplex:
         return out
 
     @cached_property
+    def _betti0(self) -> int:
+        """Number of connected components: the essential classes of degree-0
+        persistence of a constant function, whose pass ranks nothing."""
+        from .persistence import _LowerStar  # persistence imports this module
+
+        return len(_LowerStar(self, np.zeros(len(self.vertices))).dgm0()[2])
+
+    @cached_property
     def _dual_arrays(self):
         """Read-only dual-pass arrays, given :attr:`edge_cofaces`: the triangle vertex
-        columns, the coface columns padded with the ground node ``len(triangles)``, their sum."""
+        columns, the triangle edge columns, the coface columns padded with the ground
+        node ``len(triangles)``, their sum."""
         nt = len(self.triangles)
         cof = [np.where(c < 0, nt, c) for c in self.edge_cofaces.T]
-        out = (*(np.ascontiguousarray(c) for c in self.triangles.T), *cof, cof[0] + cof[1])
+        out = (*(np.ascontiguousarray(c) for c in (*self.triangles.T, *self.triangle_edges.T)),
+               *cof, cof[0] + cof[1])
         for a in out:
             a.flags.writeable = False
         return out

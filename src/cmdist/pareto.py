@@ -958,8 +958,9 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int, specials) -> Cm
     Degenerate families are sampled at 17 Chebyshev points of their
     interval.  The gap is the Lipschitz bound over the evaluated ``t``:
     between consecutive ``t_i < t_{i+1}`` no value of g exceeds the envelope
-    bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of :mod:`cmdist.convex`,
-    and the special values always hold 0 and 1, so these cells cover
+    bound ``(g_i + g_{i+1} + L*(t_{i+1} - t_i))/2`` of :mod:`cmdist.convex`.
+    The special values always hold 0 and 1, but ``specials`` may be any
+    list, so t = 0 and t = 1 are always evaluated and these cells cover
     [0, 1].  For a gap within ``eps``, run :func:`cmdist.convex.cmd_maximize`.
     """
     ts: list[float] = []
@@ -970,7 +971,7 @@ def cmd_via_special_values(f: BiFunction, h: BiFunction, k: int, specials) -> Cm
         else:
             ts.append(sv.t)
     g = _Curve(f, h, k)
-    g.scan(sorted(set(min(max(t, 0.0), 1.0) for t in ts)))
+    g.scan(sorted({min(max(t, 0.0), 1.0) for t in ts} | {1.0}))
     return g.result("special-values", "gap is the Lipschitz bound between the evaluated t; the "
                     "special-value characterization puts the maximizer among them")
 

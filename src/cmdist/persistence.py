@@ -17,7 +17,8 @@ two basins.  Degree 0 needs no ranks: comparing values gives each edge's
 earlier end, and the minima are the vertices that are no edge's later end.
 With one minimum, as on the smooth built-in surfaces, nothing merges and no
 sort, pointer jumping or union-find runs.  Degree 1 runs the pass by rank,
-for the key order's negative edges.
+for the key order's negative edges, but only when the complex has a
+degree-1 essential class.
 
 Degrees 1 and 2 add the same contraction on the dual graph in reverse
 order: the triangles plus a ground node, the oldest, for the missing coface
@@ -29,11 +30,16 @@ the only dual basin.  The finite degree-1 points are the dual merges (a
 triangle and its leading edge enter together, so those pairs are only
 marked negative), the degree-1 essentials the edges negative in neither
 pass, and the degree-2 essentials the dual roots other than the ground
-node.  Both passes compare rank columns instead of reducing short rows,
-and the complex keeps the dual arrays that do not depend on values.  This
-needs every edge in at most two triangles; on other complexes the triangle
-boundary columns, in key order, are reduced over the two-element field
-instead, with the same forward pass for the negative edges.
+node.  The lowest vertices come from comparing values, as in degree 0, and
+only triangles that share a leading edge are compared to find the roots;
+the vertices are ranked only to order the roots and the joins, so a disk,
+whose ground node is the only dual basin, is never ranked.  The number of
+degree-1 essential classes is beta_0 + beta_2 - chi, with beta_2 from the
+dual pass and beta_0 kept by the complex; when it is zero, as on a disk,
+a cone or a sphere, the forward pass does not run.  The complex keeps the
+dual arrays that do not depend on values.  This needs every edge in at
+most two triangles; on other complexes the triangle boundary columns, in
+key order, are reduced over the two-element field instead.
 
 An explicit :class:`Filtration` holds its simplices as padded rows of
 vertex ids; :func:`lower_star_filtration` builds them without tuples.  The
@@ -194,9 +200,10 @@ def _padded(rows: np.ndarray) -> np.ndarray:
 class _LowerStar:
     """Lower-star persistence of one (complex, values) pair, degree by degree.
 
-    Degree 0 compares values along the edges and needs no ranks.  The other
-    passes rank the vertices by (value, index), on first use, and order
-    simplices by :meth:`key`, their vertex ranks largest first, faces first.
+    Degree 0 and the dual pass compare values and rank nothing they need
+    not order.  The vertices are ranked by (value, index) on first use, and
+    simplices are ordered by :meth:`key`, their vertex ranks largest first,
+    faces first.
     """
 
     def __init__(self, complex: SimplicialComplex, values):
@@ -218,12 +225,6 @@ class _LowerStar:
         rank[self.order] = np.arange(len(rank))
         return rank
 
-    @cached_property
-    def _ranked_edges(self):
-        """(lo, hi): the ranks of the earlier and the later end of each edge."""
-        r0, r1 = (self.rank[c] for c in self.complex.edges.T)
-        return np.minimum(r0, r1), np.maximum(r0, r1)
-
     def key(self, simplices: np.ndarray) -> np.ndarray:
         """(len, 3) key of each row: its vertex ranks ascending, left-padded with -1.
 
@@ -235,12 +236,23 @@ class _LowerStar:
         return _padded(np.sort(self.rank[simplices], axis=1))
 
     def _edge_values(self, idx):
-        return self.values[self.order[self._ranked_edges[1][idx]]]
+        """Value of each given edge, that of its later end.
+
+        Edge rows ascend, so ``values[e0] <= values[e1]`` picks the later end
+        in the (value, index) order; ``where`` keeps the bytes of a signed
+        zero, which ``np.maximum`` of -0.0 and 0.0 may not.
+        """
+        v0, v1 = self.values.take(self.complex.edges.take(idx, axis=0)).T
+        return np.where(v0 <= v1, v1, v0)
 
     def _edge_key(self, idx):
-        """Distinct integer of each edge, hi * n + lo, that sorts the edges in key order."""
-        lo, hi = self._ranked_edges
-        return hi[idx] * len(self.values) + lo[idx]
+        """Distinct integer of each given edge, hi * n + lo, that sorts them in key order.
+
+        ``hi`` and ``lo`` are the ranks of the edge's later and earlier end,
+        gathered for the given edges only.
+        """
+        r0, r1 = (self.rank[c[idx]] for c in self.complex.edges.T)
+        return np.maximum(r0, r1) * len(self.values) + np.minimum(r0, r1)
 
     def _vertex_pass(self):
         """Degree 1's forward pass, by rank, so its negative edges are the key order's.
@@ -251,11 +263,12 @@ class _LowerStar:
         of edges that are no vertex's descending edge, and the merging edges.
         """
         n = len(self.values)
-        lo, hi = self._ranked_edges
+        r0, r1 = (self.rank[c] for c in self.complex.edges.T)
+        lo, hi = np.minimum(r0, r1), np.maximum(r0, r1)
         step = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
         np.minimum.at(step, hi, lo)
         minima = np.flatnonzero(step == np.arange(n))
-        _, merges, _ = _basin_merges(step, minima, lo, hi, lambda e: e[np.argsort(self._edge_key(e))])
+        _, merges, _ = _basin_merges(step, minima, lo, hi, lambda e: e[np.argsort(hi[e] * n + lo[e])])
         return lo != step[hi], merges
 
     def _dual_pass(self):
@@ -277,29 +290,52 @@ class _LowerStar:
         :func:`_basin_merges` runs the union-find over the edges that join
         them, in reverse key order.  A pointing triangle (w, a, b) and its
         leading edge (w, a) both enter at f(w): the edge is negative, but the
-        pair has zero persistence, so it is not gathered.  Returns the
+        pair has zero persistence, so it is not gathered.
+
+        The lowest vertex b comes from comparing values, not ranks: the
+        vertex columns ascend by index, so a strict comparison that keeps
+        the earlier column on a tie is the comparison of ranks.  The prefix
+        (w, a) is the leading edge, so only the two cofaces of an edge that
+        leads both are compared: the one whose lowest vertex is younger
+        comes later in key order and is the root.  A triangle whose leading
+        edge leads no other triangle is never a root; it dies at that edge,
+        joined to the coface across it or to the ground node.  With no
+        shared leading edge the ground node is the only dual basin, nothing
+        merges, and the pass returns before ranking the vertices; otherwise
+        the ranks, which order the roots and the joins, also decide each
+        pair.  Returns the
         negative edges, the (edge, triangle) pairs of the dual merges, and
         the triangles left as roots.
         """
-        cx = self.complex
-        t0, t1, t2, cof0, cof1, cofsum = cx._dual_arrays
+        cx, values = self.complex, self.values
+        t0, t1, t2, ab, ac, bc, cof0, cof1, cofsum = cx._dual_arrays
+        v0, v1 = values[t0], values[t1]
+        second = v1 < v0
+        third = values[t2] < np.minimum(v0, v1)
+        lead = np.where(third, ab, np.where(second, ac, bc))  # the face without the lowest vertex
+        pairs = np.flatnonzero(np.bincount(lead, minlength=len(cx.edges)) == 2)
+        if not len(pairs):  # the ground node's is the only dual basin
+            none = np.empty(0, dtype=np.int64)
+            return lead, none, none, none
+        # of the two cofaces of a shared leading edge, the one with the younger
+        # lowest vertex is the root; ranks order the roots, so they decide here too
+        low = np.where(third, t2, np.where(second, t1, t0))
+        tri, mate = cof0[pairs], cof1[pairs]
+        tri_low, mate_low = self.rank[low[tri]], self.rank[low[mate]]
+        roots = np.where(mate_low < tri_low, tri, mate)
+        # the ground node, then the other roots oldest first: latest in key order,
+        # which is (leading edge, the root's lowest vertex)
         nt, node = len(t0), np.arange(len(t0))
-        r0, r1, r2 = self.rank[t0], self.rank[t1], self.rank[t2]
-        rmin = np.minimum(np.minimum(r0, r1), r2)
-        # ranks are distinct; faces (a, b), (a, c), (b, c) leave out c, b, a
-        face = np.where(r2 == rmin, 0, np.where(r1 == rmin, 1, 2))
-        lead = cx.triangle_edges.ravel()[3 * node + face]
-        other = cofsum[lead] - node  # a triangle is a coface of its leading edge
-        is_root = ((np.append(lead, -1)[other] == lead)
-                   & (np.append(rmin, -1)[other] < rmin))
-        roots = np.flatnonzero(is_root)
-        # the ground node, then the other roots oldest first: latest in key order
-        roots = np.append(nt, roots[np.lexsort((rmin[roots], self._edge_key(lead[roots])))[::-1]])
+        roots = np.append(nt, roots[np.lexsort((np.maximum(tri_low, mate_low),
+                                                self._edge_key(pairs)))[::-1]])
+        step = np.append(cofsum[lead] - node, nt)  # a triangle is a coface of its leading edge
+        step[roots] = roots
+        pointing = step[:-1] != node
         # a pointing triangle shares its basin with the coface across its
         # leading edge, so the joins never include a leading edge
-        dying, merges, left = _basin_merges(np.append(np.where(is_root, node, other), nt), roots,
-                                            cof0, cof1, lambda e: e[np.argsort(-self._edge_key(e))])
-        return np.concatenate([lead[~is_root], merges]), merges, roots[dying], roots[left[1:]]
+        dying, merges, left = _basin_merges(step, roots, cof0, cof1,
+                                            lambda e: e[np.argsort(-self._edge_key(e))])
+        return np.concatenate([lead[pointing], merges]), merges, roots[dying], roots[left[1:]]
 
     def _reduction_pass(self):
         """Degrees 1-2 on any complex: the triangle columns reduced in key order.
@@ -361,14 +397,27 @@ class _LowerStar:
         return values[minima[dying]], values[hi[merges]], values[minima[left]]
 
     def dgm1(self):
-        # essential: negative in neither pass; the first kind of negative edge
-        # is each non-minimum vertex's descending edge
+        """Degree 1: the dual merges, and the edges negative in neither pass.
+
+        The finite points are the triangle pass's pairs alone.  The number of
+        essential classes is beta_1 = beta_0 + beta_2 - chi, since
+        chi = beta_0 - beta_1 + beta_2 holds over any field, and it is the
+        same for every filtration of the complex: beta_2 is the number of
+        triangles left as roots, and the complex keeps beta_0.  When it is
+        zero, as on a disk, a cone or a sphere, the forward pass is skipped.
+        Otherwise the essential edges are those negative in neither pass,
+        the forward pass's being each non-minimum vertex's descending edge
+        and the joins that merge.
+        """
+        negative, pair_edges, pair_tris, roots = self._triangle_pass()
+        finite = self._edge_values(pair_edges), self._triangle_values(pair_tris)
+        cx = self.complex
+        if cx._betti0 + len(roots) == cx.euler_characteristic():
+            return (*finite, np.empty(0))
         essential, merges = self._vertex_pass()
-        negative, pair_edges, pair_tris, _ = self._triangle_pass()
         essential[merges] = False
         essential[negative] = False
-        return (self._edge_values(pair_edges), self._triangle_values(pair_tris),
-                self._edge_values(np.flatnonzero(essential)))
+        return (*finite, self._edge_values(np.flatnonzero(essential)))
 
     def dgm2(self):
         *_, roots = self._triangle_pass()

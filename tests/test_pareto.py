@@ -24,6 +24,7 @@ from cmdist import (
     orthogonal_intersections,
     osculating,
     position_predict,
+    SpecialValue,
     save_contours,
     special_values,
     t_of_orthogonality,
@@ -687,6 +688,20 @@ def test_special_value_route_gap_bounds_a_dense_sweep():
     assert "Lipschitz" in result.note
     sweep = max(g_value(f, h, 0, t) for t in np.linspace(0.0, 1.0, 1001))
     assert sweep <= result.value + result.gap + 1e-12
+
+
+def test_special_value_route_gap_covers_the_unit_interval_for_any_list():
+    """t = 1 is evaluated like t = 0, so the cells cover [0, 1] even when the list stops early."""
+    _, f = get_fixture("cone", 16)
+    _, h = get_fixture("disk", 16)
+    early = [SpecialValue(t, "endpoint-orthogonality") for t in (0.0, 0.1)]
+    sweep = max(g_value(f, h, 1, t) for t in np.linspace(0.0, 1.0, 201))
+    assert g_value(f, h, 1, 0.5) == 0.5
+    for specials in (early, []):
+        result = cmd_via_special_values(f, h, 1, specials)
+        assert max(result.trace)[0] == 1.0
+        assert result.evaluations == len(result.trace)
+        assert sweep <= result.value + result.gap + 1e-12, len(specials)
 
 
 def test_special_value_route_identical_inputs():

@@ -19,6 +19,8 @@ from cmdist import (
     lower_star_diagram,
     lower_star_filtration,
     persistence,
+    slice_function,
+    slice_grid,
 )
 
 from conftest import get_fixture, random_complex, random_vertex_values
@@ -466,6 +468,94 @@ def test_degree0_never_ranks_the_vertices(monkeypatch):
     for k in (1, 2):
         with pytest.raises(AssertionError, match="ranked"):
             lower_star_diagram(cx, f.at(0.3), k)
+
+
+def _small_surfaces():
+    return {
+        "torus": _grid_surface(4, 5, wrap_rows=True, wrap_cols=True),
+        "annulus": _grid_surface(3, 5, wrap_cols=True),
+        "moebius": _grid_surface(3, 5, wrap_cols=True, twist=True),
+        "pinched": _pinched_disks(),
+    }
+
+
+def test_euler_poincare_count_equals_degree1_essentials():
+    """beta_0 + beta_2 - chi, with beta_2 from the triangle pass, is the full reduction's count."""
+    rng = np.random.default_rng(61)
+    cases = [(trial, random_complex(rng)) for trial in range(120)]
+    cases += list(_small_surfaces().items())
+    routes = set()
+    for label, cx in cases:
+        routes.add("dual" if cx.edge_cofaces is not None else "fallback")
+        for values in (rng.normal(size=cx.n_vertices), np.round(rng.normal(size=cx.n_vertices))):
+            filt = lower_star_filtration(cx, values)
+            full = [len(compute_persistence(filt, k).essential) for k in (0, 1)]
+            roots = persistence._LowerStar(cx, values)._triangle_pass()[3]
+            assert cx._betti0 == full[0], label
+            assert cx._betti0 + len(roots) - cx.euler_characteristic() == full[1], label
+            assert len(lower_star_diagram(cx, values, 1).essential) == full[1], label
+    assert routes == {"dual", "fallback"}
+
+
+def test_degree1_runs_the_forward_pass_only_with_1_cycles(monkeypatch):
+    """Disk, cone and sphere have no 1-cycles; torus, annulus and Moebius strip do."""
+    rng = np.random.default_rng(67)
+    inputs = []
+    for name in ("disk", "cone", "sphere"):
+        cx, f = get_fixture(name, 16)
+        for t in (0.0, 0.3, 1.0):
+            smooth = f.at(t)
+            for values in (smooth, smooth + rng.uniform(-0.1, 0.1, len(smooth))):
+                inputs.append(((name, t), cx, values))
+    expected = [compute_persistence(lower_star_filtration(cx, values), 1)
+                for _, cx, values in inputs]
+    cycles = {name: cx for name, cx in _small_surfaces().items() if name != "pinched"}
+
+    def no_forward_pass(self):
+        raise AssertionError("forward pass")
+
+    monkeypatch.setattr(persistence._LowerStar, "_vertex_pass", no_forward_pass)
+    for (label, cx, values), want in zip(inputs, expected):
+        assert _bit_rows(lower_star_diagram(cx, values, 1)) == _bit_rows(want), label
+    for name, cx in cycles.items():
+        with pytest.raises(AssertionError, match="forward pass"):
+            lower_star_diagram(cx, rng.normal(size=cx.n_vertices), 1)
+
+
+def test_disk_degrees_1_and_2_never_rank_the_vertices(monkeypatch):
+    """On a disk the ground node is the only dual basin, so nothing needs ranks."""
+    cx, f = get_fixture("disk", 16)
+    inputs = [f.at(t) for t in (0.0, 0.3, 1.0)]
+    inputs += [slice_function(f, s).values for s in slice_grid(3, 3)]
+    expected = [[_bit_rows(compute_persistence(lower_star_filtration(cx, values), k))
+                 for k in (1, 2)] for values in inputs]
+
+    def no_ranks(self):
+        raise AssertionError("the vertices were ranked")
+
+    monkeypatch.setattr(persistence._LowerStar, "order", property(no_ranks))
+    got = [[_bit_rows(lower_star_diagram(cx, values, k)) for k in (1, 2)] for values in inputs]
+    assert got == expected
+
+
+def test_degrees_1_and_2_keep_the_bits_of_signed_zeros():
+    """Births and deaths are the bytes of the later vertex value, -0.0 and 0.0 apart."""
+    rng = np.random.default_rng(71)
+    zrng = np.random.default_rng(73)
+    cases = []
+    for name in ("cone", "disk", "sphere", "ellipsoid(2,1)"):
+        cx, f = get_fixture(name, 16)
+        cases += [((name, t), cx, f.at(t)) for t in (0.0, 0.3, 1.0)]
+    cases += [(name, cx, rng.normal(size=cx.n_vertices)) for name, cx in _small_surfaces().items()]
+    for trial in range(40):
+        cx = random_complex(rng)
+        cases.append((trial, cx, rng.normal(size=cx.n_vertices)))
+    for label, cx, values in cases:
+        values = _signed_zero_plateaus(zrng, values)
+        filt = lower_star_filtration(cx, values)
+        for k in (1, 2):
+            got = _bit_rows(lower_star_diagram(cx, values, k))
+            assert got == _bit_rows(compute_persistence(filt, k)), (label, k)
 
 
 def test_fast_path_matches_filtration_path(sphere64):
