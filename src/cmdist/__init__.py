@@ -29,24 +29,15 @@ from .convex import (
     slice_function,
     slice_grid,
 )
-from .diagram import (
-    DIAGONAL,
-    DiagramPoint,
-    PersistenceDiagram,
-    bottleneck_distance,
-    candidate_costs,
-    point_distance,
-)
+from .diagram import PersistenceDiagram, bottleneck_distance, candidate_costs
 from .pareto import (
     Contour,
     ContourBranch,
     ContourError,
     OsculatingData,
-    ParetoClassification,
     SpecialValue,
     analytic_contours,
     arc_contour,
-    classify_pareto,
     closed_form_special_t,
     cmd_via_special_values,
     cost_derivative,

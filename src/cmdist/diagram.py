@@ -1,21 +1,21 @@
-"""Persistence diagrams, the extended point metric, and the bottleneck distance.
+"""Persistence diagrams and the bottleneck distance.
 
 A diagram holds arrays: its finite points as one lexicographically sorted
 (n, 2) float64 array of (birth, death) rows, a point of multiplicity m as m
 equal rows, and the sorted births of its essential points.  The persistence
 passes build it with one ``lexsort`` and the bottleneck reads the arrays
-directly; the :class:`DiagramPoint` view with merged multiplicities is built
-only on demand.  Points below the diagonal never occur; the diagonal itself is implicit with
-infinite multiplicity and is represented by the :data:`DIAGONAL` sentinel in
-point-level computations.  The bottleneck distance splits the matching into
-the two sides separately (Mendelsohn-Dulmage): each side's least feasible
-cost comes from one pass of augmenting paths over the pairs cheaper than the
-point's own diagonal cost, raising the threshold exactly when a Hall
-violator forces it, and the value is the larger of the two.  When one side
-has no finite points, every finite point retires to the diagonal and the
-value is the largest half persistence, in closed form.  The module needs
-numpy only.  The value is always a realized cost, so results are exact in
-float arithmetic and the oracles must agree with no tolerance.
+directly; views with merged multiplicities (``expanded``, ``coordinates``,
+JSON) are built only on demand.  Points below the diagonal never occur; the
+diagonal itself is implicit, with infinite multiplicity.  The bottleneck
+distance splits the matching into the two sides separately
+(Mendelsohn-Dulmage): each side's least feasible cost comes from one pass
+of augmenting paths over the pairs cheaper than the point's own diagonal
+cost, raising the threshold exactly when a Hall violator forces it, and the
+value is the larger of the two.  When one side has no finite points, every
+finite point retires to the diagonal and the value is the largest half
+persistence, in closed form.  The module needs numpy only.  The value is
+always a realized cost, so results are exact in float arithmetic and the
+oracles must agree with no tolerance.
 """
 
 from __future__ import annotations
@@ -23,42 +23,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 INF = math.inf
-
-
-class _Diagonal:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<diagonal>"
-
-
-DIAGONAL = _Diagonal()
-
-
-@dataclass(frozen=True)
-class DiagramPoint:
-    """A birth-death pair strictly above the diagonal; death may be +inf."""
-
-    birth: float
-    death: float
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        if not math.isfinite(self.birth):
-            raise ValueError("birth must be finite")
-        if not self.birth < self.death:
-            raise ValueError(f"need birth < death, got ({self.birth}, {self.death})")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-
-    @property
-    def is_essential(self) -> bool:
-        return math.isinf(self.death)
 
 
 class PersistenceDiagram:
@@ -68,17 +36,38 @@ class PersistenceDiagram:
     finite death, sorted lexicographically, a point of multiplicity m
     written as m equal rows; ``essential`` holds the sorted births of the
     points with death +inf.  Both arrays are read-only and the diagram is
-    immutable.  :attr:`points` and the other views are built on demand.
+    immutable.  ``expanded``, ``coordinates`` and JSON are views built on demand.
+
+    ``pairs`` holds (birth, death) or (birth, death, multiplicity) rows.  A
+    point needs a finite birth, birth < death (death may be +inf) and a
+    positive integer multiplicity.
     """
 
-    def __init__(self, degree: int, points):
-        if degree < 0:
+    def __init__(self, degree: int, pairs):
+        number = float(degree)
+        if not number.is_integer():
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        if number < 0:
             raise ValueError("degree must be nonnegative")
-        points = tuple(points)
-        rows = np.array([(p.birth, p.death) for p in points], dtype=np.float64).reshape(-1, 2)
-        rows = np.repeat(rows, [p.multiplicity for p in points], axis=0)
-        finite = np.isfinite(rows[:, 1])
-        self._set(degree, rows[finite, 0], rows[finite, 1], rows[~finite, 0])
+        rows = [tuple(row) for row in pairs]
+        for row in rows:
+            if len(row) not in (2, 3):
+                raise ValueError(f"a diagram row is (birth, death[, multiplicity]), got {row!r}")
+        # numpy reads the JSON death "inf" as +inf; a missing multiplicity is 1
+        table = np.array([(*row, 1)[:3] for row in rows], dtype=np.float64).reshape(-1, 3)
+        births, deaths, counts = table.T
+        bad = np.stack((~np.isfinite(births), ~(births < deaths),
+                        ~(np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts)))))
+        if bad.any():  # the first bad row's first broken rule
+            row = int(bad.any(axis=0).argmax())
+            rule = int(bad[:, row].argmax())
+            b, d = float(births[row]), float(deaths[row])
+            raise ValueError(("birth must be finite", f"need birth < death, got ({b}, {d})",
+                              "multiplicity must be a positive integer")[rule])
+        counts = counts.astype(np.int64)
+        births, deaths = np.repeat(births, counts), np.repeat(deaths, counts)
+        finite = np.isfinite(deaths)
+        self._set(int(number), births[finite], deaths[finite], births[~finite])
 
     @classmethod
     def _from_arrays(cls, degree: int, births, deaths, essential) -> "PersistenceDiagram":
@@ -113,7 +102,8 @@ class PersistenceDiagram:
                      tuple(self.essential.tolist())))
 
     def __repr__(self):
-        return f"PersistenceDiagram(degree={self.degree}, points={self.points!r})"
+        return (f"PersistenceDiagram(degree={self.degree}, finite={self.finite.tolist()!r}, "
+                f"essential={self.essential.tolist()!r})")
 
     def _merged(self) -> list[tuple[float, float, int]]:
         """(birth, death, multiplicity) of each distinct point, sorted by (birth, death)."""
@@ -126,20 +116,10 @@ class PersistenceDiagram:
         counts = np.diff(np.append(first, len(rows)))
         return [(b, d, m) for (b, d), m in zip(rows[first].tolist(), counts.tolist())]
 
-    @property
-    def points(self) -> tuple[DiagramPoint, ...]:
-        """The distinct points with their multiplicities, sorted by (birth, death)."""
-        return tuple(DiagramPoint(b, d, m) for b, d, m in self._merged())
-
     @classmethod
     def from_pairs(cls, degree: int, pairs) -> "PersistenceDiagram":
         """Build from (birth, death) or (birth, death, multiplicity) tuples."""
-        pts = []
-        for pair in pairs:
-            b, d = pair[0], pair[1]
-            m = pair[2] if len(pair) > 2 else 1
-            pts.append(DiagramPoint(float(b), float(d), int(m)))
-        return cls(degree, pts)
+        return cls(degree, pairs)
 
     def expanded(self) -> list[tuple[float, float]]:
         """Points with multiplicity written out."""
@@ -168,50 +148,17 @@ class PersistenceDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PersistenceDiagram":
-        pts = []
-        for row in obj["points"]:
-            death = row["death"]
-            death = INF if death == "inf" else float(death)
-            pts.append(DiagramPoint(float(row["birth"]), death, int(row.get("multiplicity", 1))))
-        return cls(int(obj["degree"]), pts)
-
-
-def _pair_cost(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Cost of matching two raw (birth, death) pairs."""
-    pb, pd = p
-    qb, qd = q
-    p_inf, q_inf = math.isinf(pd), math.isinf(qd)
-    if p_inf and q_inf:
-        return abs(pb - qb)
-    if p_inf or q_inf:
-        return INF
-    return min(max(abs(pb - qb), abs(pd - qd)), max((pd - pb) / 2, (qd - qb) / 2))
-
-
-def _diagonal_cost(p: tuple[float, float]) -> float:
-    b, d = p
-    return INF if math.isinf(d) else (d - b) / 2
-
-
-def point_distance(p, q) -> float:
-    """Extended metric between diagram points; either argument may be DIAGONAL."""
-    p_diag = p is DIAGONAL
-    q_diag = q is DIAGONAL
-    if p_diag and q_diag:
-        return 0.0
-    if p_diag:
-        return _diagonal_cost((q.birth, q.death))
-    if q_diag:
-        return _diagonal_cost((p.birth, p.death))
-    return _pair_cost((p.birth, p.death), (q.birth, q.death))
+        rows = [(row["birth"], row["death"], row.get("multiplicity", 1)) for row in obj["points"]]
+        return cls(obj["degree"], rows)
 
 
 def candidate_costs(d1: PersistenceDiagram, d2: PersistenceDiagram) -> list[float]:
     """Sorted candidate values c*|w0 - w1|, c in {1/2, 1}, over all coordinates.
 
     The bottleneck distance of the pair is always an element of this list,
-    or +inf.  :func:`bottleneck_distance` does not search this list, which
-    holds O(N^2) values that no pair realizes; it visits realized costs only.
+    or +inf.  No package function calls it: :func:`bottleneck_distance`
+    visits realized costs only, not these O(N^2) values.  The benchmark's
+    checks and tracer in ``perfbench/`` use it.
     """
     if d1.degree != d2.degree:
         raise ValueError(f"degree mismatch: {d1.degree} vs {d2.degree}")
@@ -327,13 +274,16 @@ def _cover_cost(h: np.ndarray, lam: float, n_cols: int, rows: np.ndarray, cols: 
 def _realized_bottleneck(f1: np.ndarray, f2: np.ndarray) -> float:
     """Smallest realized cost at which the finite points admit a perfect matching.
 
-    Costs are those of :func:`_pair_cost` and :func:`_diagonal_cost`, computed
-    with the same float operations.  At ``lam``, points whose diagonal cost
-    exceeds ``lam`` must be matched inside the graph ``{pair <= lam}``; by the
-    Mendelsohn-Dulmage theorem one matching covers those of both diagrams iff
-    one matching covers those of D1 and another those of D2.  Each side's
-    condition is monotone in ``lam``, so the value is the larger of the two
-    sides' least feasible costs, found by :func:`_cover_cost`.  A pair cheaper
+    Costs are those of the extended point metric: a point retired to the
+    diagonal costs its half persistence ``h = (d - b) / 2`` and a pair of
+    points ``min(max(|b1 - b2|, |d1 - d2|), max(h1, h2))``, computed with the
+    float operations of ``tests/oracles.py``.  At ``lam``, points whose
+    diagonal cost exceeds ``lam`` must be matched inside the graph
+    ``{pair <= lam}``; by the Mendelsohn-Dulmage theorem one matching covers
+    those of both diagrams iff one matching covers those of D1 and another
+    those of D2.  Each side's condition is monotone in ``lam``, so the value
+    is the larger of the two sides' least feasible costs, found by
+    :func:`_cover_cost`.  A pair cheaper
     than the point's own diagonal cost ``h`` costs its L-infinity distance,
     since ``max(h_p, h_q) >= h`` then loses the minimum; only such pairs are
     edges.

@@ -401,14 +401,6 @@ class SpecialValue:
                    tuple(obj.get("witnesses", ())), tuple(obj.get("warnings", ())))
 
 
-@dataclass(frozen=True)
-class ParetoClassification:
-    """Nonnegative multiplier pair certifying Pareto criticality of a point."""
-
-    point: tuple[float, float, float]
-    multipliers: tuple[float, float]
-
-
 # ---------------------------------------------------------------------------
 # Orthogonality
 
@@ -1049,30 +1041,3 @@ def load_contours(path) -> list[Contour]:
             raise ContourError(f"{path}: contour #{i} missing 'samples'")
         out.append(Contour(row["samples"], row.get("id", f"contour-{i}"), row.get("provenance", "file")))
     return out
-
-
-def classify_pareto(fixture_name: str, point) -> ParetoClassification | None:
-    """Multiplier pair certifying Pareto criticality on a closed fixture, or None.
-
-    A surface point qualifies when it lies on the y = 0 section with both
-    normalized coordinates in the same (weak) sign, i.e. where some
-    nonnegative combination of the two coordinate gradients vanishes.
-    """
-    family, params = parse_fixture_name(fixture_name)
-    if family not in ("sphere", "ellipsoid"):
-        raise ContourError(f"Pareto classification is defined for closed fixtures, not {fixture_name!r}")
-    a, c = params if params else (1.0, 1.0)
-    x, y, z = (float(v) for v in point)
-    if abs((x / a) ** 2 + y ** 2 + (z / c) ** 2 - 1.0) > 1e-6:
-        raise ContourError("point does not lie on the fixture surface")
-    if abs(y) > _POINT_TOL:
-        return None
-    if (x / a) * (z / c) < -_POINT_TOL:
-        return None
-    theta = math.atan2(z / c, x / a)
-    lam1, lam2 = c * math.cos(theta), a * math.sin(theta)
-    if lam1 < 0 or lam2 < 0:
-        lam1, lam2 = -lam1, -lam2
-    lam1, lam2 = max(lam1, 0.0), max(lam2, 0.0)
-    total = lam1 + lam2
-    return ParetoClassification((x, y, z), (lam1 / total, lam2 / total))

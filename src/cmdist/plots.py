@@ -84,12 +84,17 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _distinct(rows: list) -> list:
+    """The first of each run of equal entries: one per distinct point of sorted rows."""
+    return [row for i, row in enumerate(rows) if not i or row != rows[i - 1]]
+
+
 def diagram_svg(diagram, path) -> None:
     """Scatter of birth/death pairs with the diagonal; essentials drawn as
     triangles pinned to the top edge."""
-    finite = [(p.birth, p.death) for p in diagram.points if math.isfinite(p.death)]
-    births = [p.birth for p in diagram.points]
-    coords = births + [d for _, d in finite]
+    finite = _distinct(diagram.finite.tolist())
+    essential = _distinct(diagram.essential.tolist())
+    coords = [b for b, _ in finite] + essential + [d for _, d in finite]
     lo = min(coords, default=0.0)
     hi = max(coords, default=1.0)
     span = (hi - lo) or 1.0
@@ -98,9 +103,8 @@ def diagram_svg(diagram, path) -> None:
     cv.line(lo, lo, hi, hi, color="#999", dash="4,3")
     for b, d in finite:
         cv.dot(b, d)
-    for p in diagram.points:
-        if not math.isfinite(p.death):
-            cv.marker_up(p.birth, hi - 0.05 * (hi - lo))
+    for b in essential:
+        cv.marker_up(b, hi - 0.05 * (hi - lo))
     with open(path, "w") as fh:
         fh.write(cv.render())
 

@@ -9,13 +9,18 @@ one by enumerating every bijection, the branch-and-bound that bounds each
 interval by its midpoint value alone, SciPy's not-a-knot cubic spline
 through contour samples, scalar ``math`` versions of the
 contour hits, osculating circles and special-value conditions, and the
-fixture triangulations built one triangle at a time.  Kept
+fixture triangulations built one triangle at a time.  Also the point-level
+model the package does without: diagram points with merged multiplicities,
+the diagonal, and the extended metric between them; and the closed-form
+Pareto classification of the closed fixtures.  Kept
 separate from the package so each route is computed twice by different code.
 """
 
 import heapq
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -107,6 +112,54 @@ def _pair_cost(p, q):
 def _diagonal_cost(p):
     b, d = p
     return (d - b) / 2
+
+
+class _Diagonal:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<diagonal>"
+
+
+DIAGONAL = _Diagonal()
+
+
+@dataclass(frozen=True)
+class DiagramPoint:
+    """A birth-death pair strictly above the diagonal; death may be +inf."""
+
+    birth: float
+    death: float
+    multiplicity: int = 1
+
+    def __post_init__(self):
+        if not math.isfinite(self.birth):
+            raise ValueError("birth must be finite")
+        if not self.birth < self.death:
+            raise ValueError(f"need birth < death, got ({self.birth}, {self.death})")
+        if self.multiplicity < 1:
+            raise ValueError("multiplicity must be a positive integer")
+
+    @property
+    def is_essential(self) -> bool:
+        return math.isinf(self.death)
+
+
+def points(diagram):
+    """The distinct points of a diagram with their multiplicities, sorted by (birth, death)."""
+    rows = [tuple(row) for row in diagram.finite.tolist()]
+    rows += [(b, math.inf) for b in diagram.essential.tolist()]
+    return tuple(DiagramPoint(b, d, m) for (b, d), m in sorted(Counter(rows).items()))
+
+
+def point_distance(p, q):
+    """Extended metric between diagram points; either argument may be DIAGONAL."""
+    if p is DIAGONAL and q is DIAGONAL:
+        return 0.0
+    if p is DIAGONAL or q is DIAGONAL:
+        point = q if p is DIAGONAL else p
+        return _diagonal_cost((point.birth, point.death))
+    return _pair_cost((p.birth, p.death), (q.birth, q.death))
 
 
 def _matchable(n1, n2, allowed, diag1, diag2):
@@ -442,6 +495,45 @@ def condition_values(w, circles, t):
 def gap_ratio_value(w, ratio):
     """(w_i - w_j) - ratio (w_k - w_l) for the projections of four hits."""
     return (w[0] - w[1]) - ratio * (w[2] - w[3])
+
+
+@dataclass(frozen=True)
+class ParetoClassification:
+    """Nonnegative multiplier pair certifying Pareto criticality of a point."""
+
+    point: tuple[float, float, float]
+    multipliers: tuple[float, float]
+
+
+def classify_pareto(fixture_name, point):
+    """Multiplier pair certifying Pareto criticality on a closed fixture, or None.
+
+    A surface point qualifies when it lies on the y = 0 section with both
+    normalized coordinates in the same (weak) sign, i.e. where some
+    nonnegative combination of the two coordinate gradients vanishes.
+    """
+    from cmdist import ContourError
+    from cmdist.complexes import parse_fixture_name
+
+    family, params = parse_fixture_name(fixture_name)
+    if family not in ("sphere", "ellipsoid"):
+        raise ContourError(f"Pareto classification is defined for closed fixtures, not {fixture_name!r}")
+    a, c = params if params else (1.0, 1.0)
+    x, y, z = (float(v) for v in point)
+    if abs((x / a) ** 2 + y ** 2 + (z / c) ** 2 - 1.0) > 1e-6:
+        raise ContourError("point does not lie on the fixture surface")
+    tol = 1e-9
+    if abs(y) > tol:
+        return None
+    if (x / a) * (z / c) < -tol:
+        return None
+    theta = math.atan2(z / c, x / a)
+    lam1, lam2 = c * math.cos(theta), a * math.sin(theta)
+    if lam1 < 0 or lam2 < 0:
+        lam1, lam2 = -lam1, -lam2
+    lam1, lam2 = max(lam1, 0.0), max(lam2, 0.0)
+    total = lam1 + lam2
+    return ParetoClassification((x, y, z), (lam1 / total, lam2 / total))
 
 
 def radial_triangulation_loops(apex, rings, sectors, ring_point):

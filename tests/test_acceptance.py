@@ -34,7 +34,7 @@ from cmdist import (
     special_values,
 )
 from conftest import get_fixture
-from oracles import bottleneck_bruteforce
+from oracles import bottleneck_bruteforce, points
 from test_diagram import random_diagram
 
 Q3 = (math.pi, 1.5 * math.pi)
@@ -48,7 +48,7 @@ def report(criterion: int, ok: bool, detail: str):
 def significant(dgm, threshold=0.05):
     return [
         (p.birth, p.death)
-        for p in dgm.points
+        for p in points(dgm)
         if not math.isfinite(p.death) or p.death - p.birth > threshold
     ]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,8 @@ import pytest
 
 from cmdist import PersistenceDiagram, analytic_contours, cli, fixture, pareto, save_complex, save_contours
 from cmdist.cli import RunConfig, main, run
+
+from oracles import points
 
 
 def read_json(path):
@@ -20,7 +23,7 @@ def test_diagram_command(tmp_path):
     assert payload["points"] == [{"birth": 0, "death": 1, "multiplicity": 1}]
     # the emitted schema re-parses into the diagram type
     dgm = PersistenceDiagram.from_json(payload)
-    assert dgm.points[0].death == 1.0
+    assert points(dgm)[0].death == 1.0
 
 
 def test_bottleneck_command(tmp_path):
@@ -165,6 +168,21 @@ def test_plots_are_written(tmp_path):
     run(RunConfig("diagram", fixture="cone:16", degree=0, t=0.5,
                   out=str(tmp_path / "d0.json"), plot=str(svg0)))
     assert "<path" in svg0.read_text()
+    # a path 0-1-...-6 with values 0, 2, 0, 2, 0, 1.5, 0.5: (0, 2) twice, (0.5, 1.5), (0, inf)
+    mesh, values = tmp_path / "path.off", tmp_path / "path.csv"
+    mesh.write_text("OFF\n7 6 0\n" + "".join(f"{i} 0 0\n" for i in range(7))
+                    + "".join(f"2 {i} {i + 1}\n" for i in range(6)))
+    values.write_text("".join(f"{v},{v}\n" for v in (0, 2, 0, 2, 0, 1.5, 0.5)))
+    svg_path = tmp_path / "path.svg"
+    run(RunConfig("diagram", mesh=str(mesh), values=str(values), degree=0, t=0.5,
+                  out=str(tmp_path / "p.json"), plot=str(svg_path)))
+    text = svg_path.read_text()
+    assert text.count("<circle") == 2 and text.count("<path") == 1  # one dot per distinct point
+    # the exact bytes of both diagram plots
+    assert hashlib.sha256(svg0.read_bytes()).hexdigest() == (
+        "aec736755b18a4987fdad8b0af7de55725d94c5fa19dd454d97d99ed18a6a354")
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+        "3622094a57d55918fd4ec0dc0630063e1f1f9cae61d3dce079e8e475350c828a")
     svg2 = tmp_path / "trace.svg"
     run(RunConfig("cmd", fixture="cone:16", fixture2="disk:16", degree=1,
                   out=str(tmp_path / "c.json"), plot=str(svg2)))

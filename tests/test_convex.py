@@ -5,7 +5,7 @@ import pytest
 
 from cmdist import (
     BiFunction,
-    DiagramPoint,
+    PersistenceDiagram,
     VertexFunction,
     bottleneck_distance,
     cmd_maximize,
@@ -23,7 +23,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture
-from oracles import cmd_midpoint_bnb
+from oracles import cmd_midpoint_bnb, points
 
 
 def perturbed(f: BiFunction, rng, scale: float) -> BiFunction:
@@ -76,7 +76,7 @@ def test_component_collapse_births_match_analytic_minimum(cone64, disk64):
         expected_birth = -abs(1 - 2 * t)
         for _, f in (cone64, disk64):
             dgm = lower_star_diagram(f.complex, f.at(t), 0)
-            essentials = [p.birth for p in dgm.points if math.isinf(p.death)]
+            essentials = [p.birth for p in points(dgm) if math.isinf(p.death)]
             assert len(essentials) == 1
             assert abs(essentials[0] - expected_birth) <= 0.05
 
@@ -162,15 +162,15 @@ def test_cmd_infinite_when_essential_counts_differ(sphere64, disk64):
 def test_hot_path_builds_no_point_objects(monkeypatch):
     """g_value and grid_scan keep diagrams as arrays from the passes to the bottleneck."""
     built = []
-    original = DiagramPoint.__post_init__
+    original = PersistenceDiagram._merged
 
     def counting(self):
         built.append(self)
-        original(self)
+        return original(self)
 
-    monkeypatch.setattr(DiagramPoint, "__post_init__", counting)
-    DiagramPoint(0.0, 1.0)
-    assert len(built) == 1  # the counter sees a construction
+    monkeypatch.setattr(PersistenceDiagram, "_merged", counting)
+    PersistenceDiagram(0, [(0.0, 1.0)]).expanded()
+    assert len(built) == 1  # the counter sees the per-point view
     rng = np.random.default_rng(12)
     f = perturbed(get_fixture("sphere", 16)[1], rng, 0.1)
     h = perturbed(get_fixture("ellipsoid(2,1)", 16)[1], rng, 0.1)

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 
 from cmdist import (
-    DIAGONAL,
-    DiagramPoint,
     PersistenceDiagram,
     SimplicialComplex,
     bottleneck_distance,
     candidate_costs,
     lower_star_diagram,
-    point_distance,
 )
 
 from conftest import get_fixture
-from oracles import bottleneck_bruteforce, bottleneck_candidate_grid, bottleneck_scipy_matching
+from oracles import (
+    DIAGONAL,
+    DiagramPoint,
+    bottleneck_bruteforce,
+    bottleneck_candidate_grid,
+    bottleneck_scipy_matching,
+    point_distance,
+    points,
+)
 
 INF = math.inf
 
@@ -61,9 +66,39 @@ def test_point_invariants():
         DiagramPoint(INF, INF)
 
 
+def test_diagram_rows_are_rejected_as_points_were():
+    """The constructor, from_pairs and from_json reject each bad row with one message."""
+    cases = [
+        ([(1.0, 1.0)], r"need birth < death, got \(1.0, 1.0\)"),
+        ([(2.0, 1.0)], r"need birth < death, got \(2.0, 1.0\)"),
+        ([(0.0, 1.0, 0)], "multiplicity must be a positive integer"),
+        ([(INF, INF)], "birth must be finite"),
+        ([(0.0, 1.0, 2.7)], "multiplicity must be a positive integer"),  # no silent truncation
+        ([(0.0, 1.0, INF)], "multiplicity must be a positive integer"),
+        ([(0.0, 1.0, 0), (INF, INF)], "multiplicity"),  # the first bad row decides
+    ]
+    for rows, message in cases:
+        json_rows = [dict(zip(("birth", "death", "multiplicity"), row)) for row in rows]
+        for build in (lambda: PersistenceDiagram(0, rows),
+                      lambda: PersistenceDiagram.from_pairs(0, rows),
+                      lambda: PersistenceDiagram.from_json({"degree": 0, "points": json_rows})):
+            with pytest.raises(ValueError, match=message):
+                build()
+    for build in (lambda: PersistenceDiagram(-1, []), lambda: PersistenceDiagram.from_pairs(-1, []),
+                  lambda: PersistenceDiagram.from_json({"degree": -1, "points": []})):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            build()
+    with pytest.raises(ValueError, match="degree"):
+        PersistenceDiagram.from_json({"degree": 0.5, "points": []})
+    for row in [(0,), (0, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="birth, death"):
+            PersistenceDiagram.from_pairs(0, [row])
+    assert PersistenceDiagram.from_pairs(0, [(0, 1, 2.0)]) == dgm((0, 1), (0, 1))
+
+
 def test_diagram_merges_duplicates():
     d = dgm((0, 1), (0, 1), (0, 2))
-    assert [(p.birth, p.death, p.multiplicity) for p in d.points] == [
+    assert [(p.birth, p.death, p.multiplicity) for p in points(d)] == [
         (0.0, 1.0, 2),
         (0.0, 2.0, 1),
     ]
@@ -75,7 +110,7 @@ def test_array_model_views():
     d = dgm((0.5, 2), (0, 1), (0, INF), (0, 1), (0, 2), degree=1)
     assert d.finite.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [0.5, 2.0]]
     assert d.essential.tolist() == [0.0]
-    assert d.points == (DiagramPoint(0.0, 1.0, 2), DiagramPoint(0.0, 2.0, 1),
+    assert points(d) == (DiagramPoint(0.0, 1.0, 2), DiagramPoint(0.0, 2.0, 1),
                         DiagramPoint(0.0, INF, 1), DiagramPoint(0.5, 2.0, 1))
     assert d.expanded() == [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (0.0, INF), (0.5, 2.0)]
     assert d.coordinates() == [0.0, 1.0, 0.0, 2.0, 0.0, 0.5, 2.0]
@@ -92,7 +127,7 @@ def test_array_model_views_with_an_empty_side():
     essential_only = dgm((0, INF), (-1, INF))
     assert essential_only.finite.shape == (0, 2)
     assert essential_only.essential.tolist() == [-1.0, 0.0]
-    assert essential_only.points == (DiagramPoint(-1.0, INF), DiagramPoint(0.0, INF))
+    assert points(essential_only) == (DiagramPoint(-1.0, INF), DiagramPoint(0.0, INF))
     assert essential_only.expanded() == [(-1.0, INF), (0.0, INF)]
     assert essential_only.coordinates() == [-1.0, 0.0]
     assert essential_only.total_multiplicity() == 2
@@ -101,11 +136,11 @@ def test_array_model_views_with_an_empty_side():
         '{"birth": 0.0, "death": "inf", "multiplicity": 1}]}')
     finite_only = dgm((1, 3), (1, 3))
     assert finite_only.essential.shape == (0,)
-    assert finite_only.points == (DiagramPoint(1.0, 3.0, 2),)
+    assert points(finite_only) == (DiagramPoint(1.0, 3.0, 2),)
     assert json.dumps(finite_only.to_json()) == (
         '{"degree": 0, "points": [{"birth": 1.0, "death": 3.0, "multiplicity": 2}]}')
     empty = dgm(degree=2)
-    assert (empty.points, empty.expanded(), empty.coordinates()) == ((), [], [])
+    assert (points(empty), empty.expanded(), empty.coordinates()) == ((), [], [])
     assert empty.total_multiplicity() == 0
     assert json.dumps(empty.to_json()) == '{"degree": 2, "points": []}'
     for d in (essential_only, finite_only, empty):
@@ -212,7 +247,7 @@ def test_one_sided_bottleneck_matches_bruteforce():
     assert bottleneck_distance(empty, empty) == bottleneck_bruteforce(empty, empty) == 0.0
     for trial in range(200):
         d1 = random_diagram(rng)  # at most 6 points, so each pair stays within the brute-force limit
-        n_essential = sum(p.multiplicity for p in d1.points if p.is_essential)
+        n_essential = sum(p.multiplicity for p in points(d1) if p.is_essential)
         births = np.round(rng.uniform(-2, 2, n_essential), 3).tolist()
         essential_only = dgm(*[(b, INF) for b in births])
         finite_only = dgm(*[(b, d) for b, d in d1.expanded() if d < INF])
@@ -344,3 +379,11 @@ def test_json_round_trip():
     again = PersistenceDiagram.from_json(d.to_json())
     assert again == d
     assert again.to_json() == d.to_json()
+    for name in ("cone", "disk", "sphere", "ellipsoid(2,1)"):
+        cx, f = get_fixture(name, 16)
+        for k in (0, 1, 2):
+            for t in (0.0, 0.5, 1.0):
+                d = lower_star_diagram(cx, f.at(t), k)
+                text = json.dumps(d.to_json())
+                again = PersistenceDiagram.from_json(json.loads(text))
+                assert again == d and json.dumps(again.to_json()) == text, (name, k, t)

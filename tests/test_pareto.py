@@ -13,7 +13,6 @@ from cmdist import (
     ContourError,
     analytic_contours,
     arc_contour,
-    classify_pareto,
     closed_form_special_t,
     cmd_maximize,
     cmd_via_special_values,
@@ -718,7 +717,7 @@ def test_special_value_route_identical_inputs():
 def test_classify_pareto_accepts_critical_arc_points():
     theta = 0.7
     point = (2 * math.cos(theta), 0.0, math.sin(theta))
-    cls = classify_pareto("ellipsoid(2,1)", point)
+    cls = oracles.classify_pareto("ellipsoid(2,1)", point)
     assert cls is not None
     lam1, lam2 = cls.multipliers
     assert lam1 >= 0 and lam2 >= 0 and abs(lam1 + lam2 - 1.0) < 1e-12
@@ -732,8 +731,8 @@ def test_classify_pareto_accepts_critical_arc_points():
 
 
 def test_classify_pareto_rejects_noncritical_points():
-    assert classify_pareto("sphere", (0.0, 1.0, 0.0)) is None  # off the y = 0 section
+    assert oracles.classify_pareto("sphere", (0.0, 1.0, 0.0)) is None  # off the y = 0 section
     theta = 2.0  # second quadrant of the section: mixed signs
-    assert classify_pareto("sphere", (math.cos(theta), 0.0, math.sin(theta))) is None
+    assert oracles.classify_pareto("sphere", (math.cos(theta), 0.0, math.sin(theta))) is None
     with pytest.raises(ContourError, match="surface"):
-        classify_pareto("sphere", (2.0, 0.0, 0.0))
+        oracles.classify_pareto("sphere", (2.0, 0.0, 0.0))

@@ -24,7 +24,7 @@ from cmdist import (
 )
 
 from conftest import get_fixture, random_complex, random_vertex_values
-from oracles import diagram_multiset, naive_diagrams, naive_pairing
+from oracles import diagram_multiset, naive_diagrams, naive_pairing, points
 
 
 def test_single_vertex_is_one_essential_component():
@@ -76,7 +76,7 @@ def test_misshaped_lower_star_values_are_rejected():
 def _significant(dgm, threshold=0.05):
     return [
         (p.birth, p.death)
-        for p in dgm.points
+        for p in points(dgm)
         if not math.isfinite(p.death) or p.death - p.birth > threshold
     ]
 
@@ -575,7 +575,7 @@ def test_euler_consistency_on_fixtures(all_fixture_names):
         cx, f = get_fixture(name, 32)
         values = f.at(0.3)
         essentials = [
-            sum(p.multiplicity for p in lower_star_diagram(cx, values, k).points
+            sum(p.multiplicity for p in points(lower_star_diagram(cx, values, k))
                 if not math.isfinite(p.death))
             for k in (0, 1, 2)
         ]
@@ -600,7 +600,7 @@ def test_every_finite_coordinate_is_a_vertex_value(sphere64):
     values = f.at(0.7)
     allowed = set(values.tolist())
     for k in (0, 1, 2):
-        for p in lower_star_diagram(cx, values, k).points:
+        for p in points(lower_star_diagram(cx, values, k)):
             assert p.birth in allowed
             if math.isfinite(p.death):
                 assert p.death in allowed
