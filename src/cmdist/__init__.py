@@ -10,7 +10,6 @@ the candidate maximizer set.
 
 from .complexes import (
     BiFunction,
-    Filtration,
     MeshError,
     SimplicialComplex,
     VertexFunction,
@@ -49,12 +48,6 @@ from .pareto import (
     special_values,
     t_of_orthogonality,
 )
-from .persistence import (
-    PersistencePairing,
-    compute_pairing,
-    compute_persistence,
-    lower_star_diagram,
-    lower_star_filtration,
-)
+from .persistence import lower_star_diagram
 
 __version__ = "0.1.0"

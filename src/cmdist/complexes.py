@@ -1,4 +1,4 @@
-"""Triangulated 2-complexes, vertex data, explicit filtrations and built-in surfaces.
+"""Triangulated 2-complexes, vertex data and built-in surfaces.
 
 A complex is a plain container of vertex positions, edges and triangles,
 closed under taking faces and immutable after construction.  Scalar data
@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -196,102 +195,6 @@ class BiFunction:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t={t} outside [0, 1]")
         return (1.0 - t) * self.phi1.values + t * self.phi2.values
-
-
-def _filtration_index(rows: np.ndarray, values: np.ndarray):
-    """Check a filtration of padded vertex rows and return its index arrays.
-
-    These are the vertex, edge and triangle positions, the edges as vertex
-    ordinals and the triangle faces as edge ordinals.  A simplex is keyed by
-    the ordinals of its face without its last vertex and of that vertex, so
-    the face lookups also find the repeats.  A simplex with a missing face
-    has key -1 and fails at its own place, so neither a later repeat of that
-    key nor a face lookup that finds it can hide the first fault.
-    """
-    n = len(rows)
-    if len(values) != n:
-        raise MeshError("filtration needs one value per simplex")
-    if not np.all(np.isfinite(values)):
-        raise MeshError("filtration values must be finite")
-    if np.any(values[1:] < values[:-1]):
-        raise MeshError("filtration values must be nondecreasing along the order")
-    vertex, triangle = rows[:, 1] < 0, rows[:, 0] >= 0
-    vpos, epos, tpos = (np.flatnonzero(m) for m in (vertex, ~(vertex | triangle), triangle))
-    nv = len(vpos)
-    ordinal, vertex_repeats = _first(rows[vpos, 2], rows)
-
-    def key(a, b):
-        return np.where((a >= 0) & (b >= 0), a * nv + b, -1)
-
-    edges, tv = ordinal[epos, 1:], ordinal[tpos]
-    # faces (b, c), (a, c), (a, b) of each triangle (a, b, c)
-    faces, edge_repeats = _first(key(edges[:, 0], edges[:, 1]), key(tv[:, [1, 0, 0]], tv[:, [2, 2, 1]]))
-    _, triangle_repeats = _first(key(faces[:, 2], tv[:, 2]), tpos[:0])
-    repeat = np.zeros(n, dtype=bool)
-    repeat[np.concatenate([vpos[vertex_repeats], epos[edge_repeats], tpos[triangle_repeats]])] = True
-    late = np.zeros((n, 3), dtype=bool)  # column j: the face without vertex j is missing or later
-    late[epos, :2] = np.append(vpos, n)[edges[:, ::-1]] > epos[:, None]
-    late[tpos] = np.append(epos, n)[faces] > tpos[:, None]
-    bad = np.flatnonzero(repeat | late[:, 0] | late[:, 1] | late[:, 2])
-    if len(bad):
-        s = tuple(int(i) for i in rows[bad[0]] if i >= 0)
-        if repeat[bad[0]]:
-            raise MeshError(f"duplicate simplex {s} in filtration")
-        j = int(np.argmax(late[bad[0]]))
-        raise MeshError(f"face {s[:j] + s[j + 1:]} of {s} does not precede it")
-    return vpos, epos, tpos, edges, faces
-
-
-class Filtration:
-    """Simplices in a linear extension of the face order, with nondecreasing values.
-
-    Each simplex is a vertex, an edge or a triangle: a set of distinct
-    nonnegative vertex ids, given as a tuple in any order.  ``rows`` holds
-    one simplex per row, ids ascending and left-padded with -1; it and
-    ``values`` are read-only.  The pass that checks them also builds the
-    index arrays the persistence routines run on.
-    """
-
-    def __init__(self, simplices, values):
-        size = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
-        wrong = np.flatnonzero((size < 1) | (size > 3))
-        if len(wrong):
-            s = simplices[wrong[0]]
-            raise MeshError(f"simplex {s} has {len(s)} vertices; filtrations hold "
-                            "vertices, edges and triangles only")
-        flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64, count=int(size.sum()))
-        rows = np.full((len(size), 3), -1, dtype=np.int64)
-        column = np.arange(len(flat)) - np.repeat(np.cumsum(size) - 3, size)  # ids end in column 2
-        rows[np.repeat(np.arange(len(size)), size), column] = flat
-        rows.sort(axis=1)
-        distinct = (rows >= 0) & (np.diff(rows, axis=1, prepend=-1) != 0)
-        wrong = np.flatnonzero(distinct.sum(axis=1) != size)
-        if len(wrong):
-            raise MeshError(f"simplex {simplices[wrong[0]]} must list distinct nonnegative vertex ids")
-        self._set(rows, values)
-
-    @classmethod
-    def _from_rows(cls, rows: np.ndarray, values) -> "Filtration":
-        """Filtration of padded vertex rows, ids ascending, checked as in the constructor."""
-        filtration = cls.__new__(cls)
-        filtration._set(rows, values)
-        return filtration
-
-    def _set(self, rows, values):
-        # a copy, so the values checked here cannot change later
-        self.values = np.array(values, dtype=np.float64).reshape(-1)
-        self._index = _filtration_index(rows, self.values)
-        rows.flags.writeable = self.values.flags.writeable = False
-        self.rows = rows
-
-    @cached_property
-    def simplices(self) -> tuple[tuple[int, ...], ...]:
-        """The simplices as tuples of vertex ids, ascending."""
-        size = (self.rows >= 0).sum(axis=1).tolist()
-        return tuple(tuple(r[3 - d:]) for r, d in zip(self.rows.tolist(), size))
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 This module alone decides the lower-star order: the vertices are ranked by
 (value, index), and every simplex is keyed by the ranks of its vertices,
 largest first, padded so that faces come before cofaces.  Each vertex is
-then followed directly by its lower star.  :func:`lower_star_filtration`
-lists the simplices in this order and the passes below run in it; it is a
-linear extension of the filtration by value, so the diagrams are those of
-any other.
+then followed directly by its lower star.  The passes below run in this
+order; it is a linear extension of the filtration by value, so the diagrams
+are those of any other.
 
 The forward pass contracts every vertex into the basin of a local minimum:
 each vertex points at an earlier neighbour, and pointer jumping takes it to
@@ -39,47 +38,25 @@ dual pass and beta_0 kept by the complex; when it is zero, as on a disk,
 a cone or a sphere, the forward pass does not run.  The complex keeps the
 dual arrays that do not depend on values.  This needs every edge in at
 most two triangles; on other complexes the triangle boundary columns, in
-key order, are reduced over the two-element field instead.
-
-An explicit :class:`Filtration` holds its simplices as padded rows of
-vertex ids; :func:`lower_star_filtration` builds them without tuples.  The
-pass that checks the rows at construction also gives the index arrays run
-here: vertices numbered by filtration position, edges as pairs of vertex
-ordinals, and triangles as triples of edge ordinals.  Degree 0 is the
-elder-rule union-find over its edges in filtration order, so vertices of
-equal value age by position, and degrees 1 and 2 are the same column
-reduction.
-Columns are packed into Python integers, so the XOR of two columns is a
-single big-int operation.
+key order, are reduced over the two-element field instead.  Columns are
+packed into Python integers, so the XOR of two columns is a single big-int
+operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .complexes import Filtration, MeshError, SimplicialComplex, VertexFunction
+from .complexes import MeshError, SimplicialComplex, VertexFunction
 from .diagram import PersistenceDiagram
 
 SUPPORTED_DEGREES = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class PersistencePairing:
-    """Index pairing of a filtration: (birth simplex, death simplex) plus essentials.
-
-    Indices refer to positions in the filtration order; essentials carry
-    their homology degree.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    essentials: tuple[tuple[int, int], ...]  # (filtration index, degree)
-
-
 def _merge(n_nodes, edge_u, edge_v):
-    """Elder-rule union-find over nodes numbered oldest first.
+    """Elder-rule union-find over nodes numbered oldest first, for :func:`_basin_merges`.
 
     Runs the edges in the given order.  Returns the dying (younger) root and
     the edge position of every merge, and the roots left at the end.
@@ -434,58 +411,6 @@ def lower_star_diagram(complex: SimplicialComplex, values, k: int) -> Persistenc
     """
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported degree {k}; supported: {SUPPORTED_DEGREES}")
+    k = SUPPORTED_DEGREES.index(k)  # a plain int: True, 1.0 and np.int64(1) give 1
     ls = _LowerStar(complex, values)
     return _diagram(k, *(ls.dgm0, ls.dgm1, ls.dgm2)[k]())
-
-
-def lower_star_filtration(complex: SimplicialComplex, f) -> Filtration:
-    """Filtration where each simplex enters at the max of its vertex values.
-
-    Simplices come in the lower-star order of :func:`lower_star_diagram`:
-    vertices ranked by (value, index), simplices sorted by their vertex
-    ranks, largest first, so each vertex is followed directly by its lower
-    star and every face comes before its cofaces.  ``f`` is a
-    :class:`VertexFunction` or an array of finite values.
-    """
-    ls = _LowerStar(complex, f)
-    parts = (np.arange(complex.n_vertices)[:, None], complex.edges, complex.triangles)
-    key = np.vstack([ls.key(p) for p in parts])
-    order = np.lexsort(key.T)
-    rows = np.vstack([_padded(p) for p in parts])[order]
-    return Filtration._from_rows(rows, ls.values[ls.order[key[order, 2]]])
-
-
-def _filtration_pairs(filtration: Filtration, degrees) -> dict:
-    """Degree -> (birth positions, death positions, essential positions)."""
-    vpos, epos, tpos, edges, faces = filtration._index
-    out = {}
-    if 0 in degrees or 1 in degrees:
-        dying, at, roots = _merge(len(vpos), edges[:, 0], edges[:, 1])
-        out[0] = vpos[dying], epos[at], vpos[roots]
-    if 1 in degrees or 2 in degrees:
-        pivots, paired, zero = _reduce_bit_columns(faces)
-        out[2] = tpos[:0], tpos[:0], tpos[zero]
-    if 1 in degrees:
-        negative = np.zeros(len(epos), dtype=bool)
-        negative[at] = negative[pivots] = True
-        out[1] = epos[pivots], tpos[paired], epos[~negative]
-    return out
-
-
-def compute_persistence(filtration: Filtration, k: int) -> PersistenceDiagram:
-    """Degree-k diagram of a filtration; zero-persistence pairs are dropped."""
-    if k not in SUPPORTED_DEGREES:
-        raise ValueError(f"unsupported degree {k}; supported: {SUPPORTED_DEGREES}")
-    births, deaths, essentials = _filtration_pairs(filtration, (k,))[k]
-    values = filtration.values
-    return _diagram(k, values[births], values[deaths], values[essentials])
-
-
-def compute_pairing(filtration: Filtration) -> PersistencePairing:
-    """Full simplex pairing of a filtration across degrees 0-2."""
-    pairs: list[tuple[int, int]] = []
-    essentials: list[tuple[int, int]] = []
-    for k, (births, deaths, ess) in _filtration_pairs(filtration, SUPPORTED_DEGREES).items():
-        pairs.extend(zip(births.tolist(), deaths.tolist()))
-        essentials.extend((i, k) for i in ess.tolist())
-    return PersistencePairing(tuple(sorted(pairs)), tuple(sorted(essentials)))

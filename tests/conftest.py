@@ -65,3 +65,9 @@ def random_vertex_values(rng: np.random.Generator, n: int, ties: bool = False):
     if ties and n >= 4:
         values[: n // 2] = np.round(values[: n // 2], 1)
     return values
+
+
+def signed_zero_plateaus(rng: np.random.Generator, values):
+    """Each value rounded to one decimal, or replaced by -0.0 or 0.0, at random."""
+    zeros = np.where(rng.random(len(values)) < 0.5, -0.0, 0.0)
+    return np.where(rng.random(len(values)) < 0.5, zeros, np.round(values, 1))

@@ -1,6 +1,6 @@
 """Independent reference implementations used only to check the package.
 
-Deliberately naive: a filtration check with a set of tuples, plain
+Deliberately naive: the lower-star order by Python's ``sorted``, plain
 set-based boundary-matrix reduction with no clearing and no per-degree
 shortcuts, a bottleneck distance by binary search over the candidate grid
 with a direct quadratic matching check, one
@@ -29,33 +29,31 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
-def filtration_error(simplices, values):
-    """The first broken filtration invariant, found with sorted tuples and a set, or None."""
-    if len(values) != len(simplices):
-        return "filtration needs one value per simplex"
-    if not all(math.isfinite(v) for v in values):
-        return "filtration values must be finite"
-    if any(b < a for a, b in zip(values, values[1:])):
-        return "filtration values must be nondecreasing along the order"
-    seen = set()
-    for s in map(tuple, map(sorted, simplices)):
-        if s in seen:
-            return f"duplicate simplex {s} in filtration"
-        faces = [s[:j] + s[j + 1:] for j in range(len(s))] if len(s) > 1 else []
-        missing = [face for face in faces if face not in seen]
-        if missing:
-            return f"face {missing[0]} of {s} does not precede it"
-        seen.add(s)
-    return None
+def lower_star_simplices(cx, values):
+    """Simplices of ``cx`` in lower-star order, as sorted vertex tuples, and their values.
+
+    Vertices are ranked by (value, index), and simplices sorted by their
+    vertex ranks, largest first, then by length; leaving out a vertex lowers
+    or drops a place of that key, so a face sorts before its cofaces.  A
+    simplex takes the value of its highest-ranked vertex, so the bits of
+    -0.0 and 0.0 survive where ``max`` of the values might swap them.
+    """
+    values = [float(v) for v in values]
+    rank = {v: r for r, v in enumerate(sorted(range(len(values)), key=lambda v: (values[v], v)))}
+    simplices = [(v,) for v in range(len(values))]
+    simplices += [tuple(s) for part in (cx.edges, cx.triangles) for s in part.tolist()]
+    simplices.sort(key=lambda s: (sorted((rank[v] for v in s), reverse=True), len(s)))
+    top = [max(s, key=rank.__getitem__) for s in simplices]
+    return simplices, [values[v] for v in top]
 
 
-def naive_pairing(filtration):
+def naive_pairing(simplices):
     """Pairing by left-to-right reduction of the full boundary matrix.
 
-    Returns the (low, column) pairs and the unpaired simplices as (index,
-    degree), both in increasing order, as in ``PersistencePairing``.
+    ``simplices`` lists sorted vertex tuples in filtration order.  Returns
+    the (low, column) pairs and the unpaired simplices as (index, degree),
+    both in increasing order.
     """
-    simplices = list(filtration.simplices)
     index_of = {s: i for i, s in enumerate(simplices)}
     columns = []
     for s in simplices:
@@ -83,13 +81,15 @@ def naive_pairing(filtration):
     return tuple(sorted(pairs)), tuple(essentials)
 
 
-def naive_diagrams(filtration):
-    """All-degree diagrams by left-to-right reduction of the full boundary matrix."""
-    values = list(filtration.values)
-    pairs, essentials = naive_pairing(filtration)
+def naive_diagrams(simplices, values):
+    """All-degree diagrams by left-to-right reduction of the full boundary matrix.
+
+    ``simplices`` and ``values`` are a filtration, as from :func:`lower_star_simplices`.
+    """
+    pairs, essentials = naive_pairing(simplices)
     diagrams = {0: [], 1: [], 2: []}
     for i, j in pairs:
-        k = len(filtration.simplices[i]) - 1
+        k = len(simplices[i]) - 1
         if values[i] < values[j]:
             diagrams[k].append((values[i], values[j]))
     for i, k in essentials:

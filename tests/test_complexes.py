@@ -6,21 +6,18 @@ from scipy.spatial import cKDTree
 
 from cmdist import (
     BiFunction,
-    Filtration,
     MeshError,
     SimplicialComplex,
     VertexFunction,
     complexes,
-    compute_pairing,
-    compute_persistence,
     fixture,
     load_complex,
-    lower_star_filtration,
     save_complex,
 )
+from cmdist.persistence import _LowerStar
 
-from conftest import get_fixture, random_complex, random_vertex_values
-from oracles import filtration_error, radial_triangulation_loops, uv_sphere_loops
+from conftest import get_fixture, random_complex, random_vertex_values, signed_zero_plateaus
+from oracles import lower_star_simplices, radial_triangulation_loops, uv_sphere_loops
 
 
 def write_minimal_off(tmp_path, off_text, values_text):
@@ -229,7 +226,7 @@ def test_bifunction_requires_matching_lengths():
         BiFunction(cx, good, bad)
 
 
-# --- lower-star filtration ------------------------------------------------
+# --- lower-star order -----------------------------------------------------
 
 
 def triangle_complex():
@@ -237,10 +234,22 @@ def triangle_complex():
     return SimplicialComplex.from_triangles(verts, [(0, 1, 2)])
 
 
+def lower_star_order(cx, values):
+    """Simplices as vertex tuples in the order of ``_LowerStar.key``, and their values.
+
+    A simplex takes the value of its vertex of largest rank, the last key column.
+    """
+    ls = _LowerStar(cx, values)
+    parts = (np.arange(cx.n_vertices)[:, None], cx.edges, cx.triangles)
+    key = np.vstack([ls.key(p) for p in parts])
+    order = np.lexsort(key.T)
+    simplices = [tuple(s) for p in parts for s in p.tolist()]
+    return [simplices[i] for i in order], ls.values[ls.order[key[order, 2]]]
+
+
 def test_lower_star_values_on_triangle():
-    cx = triangle_complex()
-    filt = lower_star_filtration(cx, VertexFunction([0.0, 1.0, 2.0]))
-    value_of = dict(zip(filt.simplices, filt.values.tolist()))
+    simplices, values = lower_star_order(triangle_complex(), [0.0, 1.0, 2.0])
+    value_of = dict(zip(simplices, values.tolist()))
     assert value_of[(0, 1)] == 1.0
     assert value_of[(0, 2)] == 2.0
     assert value_of[(1, 2)] == 2.0
@@ -248,112 +257,41 @@ def test_lower_star_values_on_triangle():
 
 
 def test_lower_star_plateau_order():
-    cx = triangle_complex()
-    filt = lower_star_filtration(cx, VertexFunction([0.0, 0.0, 0.0]))
-    assert np.all(filt.values == 0.0)
+    simplices, values = lower_star_order(triangle_complex(), [0.0, 0.0, 0.0])
+    assert np.all(values == 0.0)
     # deterministic order: later max vertex index enters later
-    assert filt.simplices == ((0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2))
+    assert simplices == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def test_lower_star_order_follows_each_vertex_with_its_lower_star():
     # vertices ranked by (value, index): 2, 0, 1; each simplex keyed by its
     # vertex ranks, largest first, so a vertex comes right before its lower star
-    cx = triangle_complex()
-    filt = lower_star_filtration(cx, VertexFunction([1.0, 1.0, 0.0]))
-    assert filt.simplices == ((2,), (0,), (0, 2), (1,), (1, 2), (0, 1), (0, 1, 2))
-    assert filt.values.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    simplices, values = lower_star_order(triangle_complex(), [1.0, 1.0, 0.0])
+    assert simplices == [(2,), (0,), (0, 2), (1,), (1, 2), (0, 1), (0, 1, 2)]
+    assert values.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_lower_star_is_valid_filtration_on_random_input():
+    # the key order is the oracle's, whose faces precede their cofaces,
+    # value bits included, through ties and plateaus of -0.0 and 0.0
     rng = np.random.default_rng(7)
     for ties in (False, True):
-        for _ in range(10):
+        for trial in range(10):
             cx = random_complex(rng)
-            f = VertexFunction(random_vertex_values(rng, cx.n_vertices, ties=ties))
-            filt = lower_star_filtration(cx, f)
-            # the tuple view passes the same checks again and gives the same rows
-            assert np.array_equal(Filtration(filt.simplices, filt.values).rows, filt.rows)
-
-
-@pytest.mark.parametrize("simplices, values, message", [
-    (((0,), (1,), (0, 1), (0, 1)), [0, 1, 1, 1], "duplicate simplex (0, 1) in filtration"),
-    (((0,), (0, 1), (1,)), [0, 1, 1], "face (1,) of (0, 1) does not precede it"),
-    (((0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2), (1, 2)), [0, 0, 0, 0, 0, 0, 0],
-     "face (1, 2) of (0, 1, 2) does not precede it"),
-    (((0,),), [0, 1], "filtration needs one value per simplex"),
-    (((0,), (1,)), [1, 0], "filtration values must be nondecreasing along the order"),
-])
-def test_filtration_messages(simplices, values, message):
-    with pytest.raises(MeshError) as info:
-        Filtration(simplices, values)
-    assert str(info.value) == message
-
-
-def test_filtration_validation_matches_a_set_reference():
-    # one to three swaps, deletions, repeats and reversals of a lower-star
-    # filtration, each simplex listed in a random vertex order, so that
-    # several faults often lie between two copies of one simplex
-    rng = np.random.default_rng(29)
-    for trial in range(400):
-        cx = random_complex(rng)
-        filt = lower_star_filtration(cx, random_vertex_values(rng, cx.n_vertices, ties=bool(trial % 2)))
-        s, v = [tuple(rng.permutation(t).tolist()) for t in filt.simplices], filt.values.tolist()
-        for _ in range(int(rng.integers(1, 4))):
-            i, j = sorted(rng.choice(len(s), size=2, replace=False).tolist())
-            kind = int(rng.integers(4))
-            if kind == 0:
-                s[i], s[j] = s[j], s[i]
-            elif kind == 1:
-                del s[i], v[i]
-            elif kind == 2:
-                s.insert(j, s[i][::-1])
-                v.insert(j, v[j])
-            else:
-                s[i:j + 1] = s[i:j + 1][::-1]
-        expected = filtration_error(s, v)
-        try:
-            Filtration(s, v)
-            got = None
-        except MeshError as exc:
-            got = str(exc)
-        assert got == expected, trial
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_filtration_values_are_rejected(bad):
-    for values in ([0.0, bad, 1.0], [0.0, 1.0, bad]):
-        with pytest.raises(MeshError, match="filtration values must be finite"):
-            Filtration(((0,), (1,), (0, 1)), values)
-    # the checked values are a read-only copy, so the caller's array cannot undo the check
-    values = np.array([0.0, 1.0, 2.0])
-    filt = Filtration(((0,), (1,), (0, 1)), values)
-    values[2] = bad
-    assert filt.values.tolist() == [0.0, 1.0, 2.0] and not filt.values.flags.writeable
-
-
-def test_simplices_are_vertex_sets():
-    with pytest.raises(MeshError) as info:
-        Filtration(((0,), (1,), (0, 1), (1, 0)), [0.0, 0.0, 1.0, 1.0])
-    assert str(info.value) == "duplicate simplex (0, 1) in filtration"
-    for simplices in (((0,), (-2,)), ((0,), (1,), (0, 0)), ((0,), (0, -1))):
-        with pytest.raises(MeshError, match="distinct nonnegative vertex ids"):
-            Filtration(simplices, np.zeros(len(simplices)))
-    # a triangle listed in another order than its edges is the same triangle
-    listed = Filtration(((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0, 1)), [0, 0, 0, 1, 1, 1, 2])
-    assert listed.simplices[-1] == (0, 1, 2)
-    assert listed.rows[-1].tolist() == [0, 1, 2] and listed.rows[0].tolist() == [-1, -1, 0]
-    assert not listed.rows.flags.writeable
-    assert compute_pairing(listed).essentials == ((0, 0),)
-    empty = Filtration((), [])
-    assert len(empty) == 0 and empty.simplices == ()
-    assert compute_persistence(empty, 1).expanded() == []
+            values = random_vertex_values(rng, cx.n_vertices, ties=ties)
+            for v in (values, signed_zero_plateaus(rng, values)):
+                simplices, got = lower_star_order(cx, v)
+                expected, expected_values = lower_star_simplices(cx, v)
+                assert simplices == expected, (ties, trial)
+                assert got.view(np.int64).tolist() == np.array(expected_values).view(np.int64).tolist(), trial
+                assert np.all(got[1:] >= got[:-1]), (ties, trial)
 
 
 def test_cone_height_range():
-    cx, f = get_fixture("cone", 64)
-    filt = lower_star_filtration(cx, VertexFunction(0.5 * (f.phi1.values + f.phi2.values)))
-    assert filt.values.min() == 0.0
-    assert filt.values.max() == 1.0
+    _, f = get_fixture("cone", 64)
+    values = 0.5 * (f.phi1.values + f.phi2.values)
+    assert values.min() == 0.0
+    assert values.max() == 1.0
 
 
 # --- fixtures ---------------------------------------------------------------
