@@ -56,8 +56,8 @@ class CmdResult:
     def __post_init__(self):
         if not 0.0 <= self.argmax_t <= 1.0:
             raise ValueError("argmax_t outside [0, 1]")
-        if self.gap < 0:
-            raise ValueError("certificate gap must be nonnegative")
+        if math.isnan(self.value) or not self.gap >= 0:
+            raise ValueError(f"certificate needs a value and a gap >= 0, got {self.value}, {self.gap}")
 
     def to_json(self) -> dict:
         obj = {

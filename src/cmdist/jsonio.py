@@ -1,9 +1,9 @@
 """Deterministic JSON emission: fixed float formatting, insertion-ordered keys,
 two-space indentation.
 
-Floats are written with 17 significant digits so emitted numbers re-parse
-to the exact same binary value; infinities are written as the string
-"inf" (the schemas here never produce NaN).
+Floats are written with 17 significant digits, and -0.0 as ``-0.0``, so
+emitted numbers re-parse to the exact same binary value; infinities are
+written as the string "inf" (the schemas here never produce NaN).
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ def _format_float(x: float) -> str:
         return '"inf"' if x > 0 else '"-inf"'
     if math.isnan(x):
         raise ValueError("refusing to serialize NaN")
+    if x == 0 and math.copysign(1.0, x) < 0:  # "-0" would re-parse as the int 0
+        return "-0.0"
     return format(x, ".17g")
 
 

@@ -15,9 +15,9 @@ appears, and the elder-rule union-find runs only over the edges that join
 two basins.  Degree 0 needs no ranks: comparing values gives each edge's
 earlier end, and the minima are the vertices that are no edge's later end.
 With one minimum, as on the smooth built-in surfaces, nothing merges and no
-sort, pointer jumping or union-find runs.  Degree 1 runs the pass by rank,
-for the key order's negative edges, but only when the complex has a
-degree-1 essential class.
+sort, pointer jumping or union-find runs.  The same pass serves degree 1,
+which needs only how many lower edges of each vertex are negative, a number
+that does not depend on the order of the pass.
 
 Degrees 1 and 2 add the same contraction on the dual graph in reverse
 order: the triangles plus a ground node, the oldest, for the missing coface
@@ -27,20 +27,20 @@ the union-find runs over the first of the other edges that join each pair
 of dual basins, and is skipped in the same way when the ground node's is
 the only dual basin.  The finite degree-1 points are the dual merges (a
 triangle and its leading edge enter together, so those pairs are only
-marked negative), the degree-1 essentials the edges negative in neither
-pass, and the degree-2 essentials the dual roots other than the ground
-node.  The lowest vertices come from comparing values, as in degree 0, and
-only triangles that share a leading edge are compared to find the roots;
-the vertices are ranked only to order the roots and the joins, so a disk,
-whose ground node is the only dual basin, is never ranked.  The number of
-degree-1 essential classes is beta_0 + beta_2 - chi, with beta_2 from the
-dual pass and beta_0 kept by the complex; when it is zero, as on a disk,
-a cone or a sphere, the forward pass does not run.  The complex keeps the
-dual arrays that do not depend on values.  This needs every edge in at
-most two triangles; on other complexes the triangle boundary columns, in
-key order, are reduced over the two-element field instead.  Columns are
-packed into Python integers, so the XOR of two columns is a single big-int
-operation.
+marked negative), the degree-1 essentials the lower edges of each vertex
+negative in neither pass, counted and born at its value, and the degree-2
+essentials the dual roots other than the ground node.  The lowest vertices
+come from comparing values, as in degree 0, and only triangles that share a
+leading edge are compared to find the roots; the vertices are ranked only
+to order the roots and the joins, so a disk, whose ground node is the only
+dual basin, is never ranked.  The number of degree-1 essential classes is
+beta_0 + beta_2 - chi, with beta_2 from the dual pass and beta_0 kept by
+the complex; when it is zero, as on a disk, a cone or a sphere, the forward
+pass does not run.  The complex keeps the dual arrays that do not depend on
+values.  This needs every edge in at most two triangles; on other complexes
+the triangle boundary columns, in key order, are reduced over the
+two-element field instead.  Columns are packed into Python integers, so the
+XOR of two columns is a single big-int operation.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _padded(rows: np.ndarray) -> np.ndarray:
 class _LowerStar:
     """Lower-star persistence of one (complex, values) pair, degree by degree.
 
-    Degree 0 and the dual pass compare values and rank nothing they need
+    The forward and dual passes compare values and rank nothing they need
     not order.  The vertices are ranked by (value, index) on first use, and
     simplices are ordered by :meth:`key`, their vertex ranks largest first,
     faces first.
@@ -230,23 +230,6 @@ class _LowerStar:
         """
         r0, r1 = (self.rank[c[idx]] for c in self.complex.edges.T)
         return np.maximum(r0, r1) * len(self.values) + np.minimum(r0, r1)
-
-    def _vertex_pass(self):
-        """Degree 1's forward pass, by rank, so its negative edges are the key order's.
-
-        Every vertex descends through its lowest earlier neighbour, the first
-        edge of its lower star, which merges it into the older component;
-        :func:`_basin_merges` runs the joins in key order.  Returns the mask
-        of edges that are no vertex's descending edge, and the merging edges.
-        """
-        n = len(self.values)
-        r0, r1 = (self.rank[c] for c in self.complex.edges.T)
-        lo, hi = np.minimum(r0, r1), np.maximum(r0, r1)
-        step = np.arange(n)  # by rank: the lowest earlier neighbour, or itself
-        np.minimum.at(step, hi, lo)
-        minima = np.flatnonzero(step == np.arange(n))
-        _, merges, _ = _basin_merges(step, minima, lo, hi, lambda e: e[np.argsort(hi[e] * n + lo[e])])
-        return lo != step[hi], merges
 
     def _dual_pass(self):
         """Reverse pass: union-find on the dual graph, contracted along leading edges.
@@ -337,10 +320,8 @@ class _LowerStar:
     def _triangle_values(self, idx):
         return simplex_values(self.values, self.complex.triangles[idx])
 
-    # dgm0, dgm1 and dgm2 return the births and deaths of the finite pairs
-    # and the births of the essential classes
-    def dgm0(self):
-        """Degree 0 without ranks, yet the diagram of the (value, index) order.
+    def _forward(self):
+        """The forward pass without ranks, yet that of the (value, index) order.
 
         Edge rows ascend, so ``values[e0] <= values[e1]`` gives each edge's
         earlier end in that order.  Any earlier neighbour keeps each basin
@@ -348,7 +329,9 @@ class _LowerStar:
         run in key order, except among those that share their later vertex:
         they enter together at its value, and merging a set of components at
         once kills all but the oldest whatever the order, so the (birth,
-        death) pairs are the same.  With one minimum nothing merges.
+        death) pairs are the same.  Returns each edge's later end ``hi``, the
+        minima oldest first, and the :func:`_basin_merges` result or, with
+        at most one minimum, when nothing merges, ``None``.
         """
         values = self.values
         e0, e1 = self.complex.edges.T
@@ -356,7 +339,7 @@ class _LowerStar:
         hi = np.where(first, e1, e0)
         minima = np.flatnonzero(np.bincount(hi, minlength=len(values)) == 0)
         if len(minima) <= 1:
-            return np.empty(0), np.empty(0), values[minima]
+            return hi, minima, None
         lo = np.where(first, e0, e1)
         step = np.arange(len(values))
         step[hi] = lo  # a repeated index keeps one of its values, each an earlier neighbour
@@ -370,11 +353,20 @@ class _LowerStar:
                 joins = joins[np.argsort(np.cumsum(np.append(0, ~tied)) * len(values) + later)]
             return joins
 
-        dying, merges, left = _basin_merges(step, minima, lo, hi, by_later_end)
+        return hi, minima, _basin_merges(step, minima, lo, hi, by_later_end)
+
+    # dgm0, dgm1 and dgm2 return the births and deaths of the finite pairs
+    # and the births of the essential classes
+    def dgm0(self):
+        values = self.values
+        hi, minima, merged = self._forward()
+        if merged is None:
+            return np.empty(0), np.empty(0), values[minima]
+        dying, merges, left = merged
         return values[minima[dying]], values[hi[merges]], values[minima[left]]
 
     def dgm1(self):
-        """Degree 1: the dual merges, and the edges negative in neither pass.
+        """Degree 1: the dual merges, and essential births counted per vertex.
 
         The finite points are the triangle pass's pairs alone.  The number of
         essential classes is beta_1 = beta_0 + beta_2 - chi, since
@@ -382,19 +374,24 @@ class _LowerStar:
         same for every filtration of the complex: beta_2 is the number of
         triangles left as roots, and the complex keeps beta_0.  When it is
         zero, as on a disk, a cone or a sphere, the forward pass is skipped.
-        Otherwise the essential edges are those negative in neither pass,
-        the forward pass's being each non-minimum vertex's descending edge
-        and the joins that merge.
+        Otherwise let v have L(v) lower edges, D(v) of them triangle-paired,
+        and lower neighbours in m(v) distinct earlier components.  In any
+        order of v's lower star, exactly m(v) of its edges are negative in
+        the forward pass: (L(v) > 0) plus the merges at v.  In key order
+        these, the triangle-paired and the essential edges partition the
+        lower star, so L(v) - m(v) - D(v) essentials are born at f(v).
         """
         negative, pair_edges, pair_tris, roots = self._triangle_pass()
         finite = self._edge_values(pair_edges), self._triangle_values(pair_tris)
         cx = self.complex
         if cx._betti0 + len(roots) == cx.euler_characteristic():
             return (*finite, np.empty(0))
-        essential, merges = self._vertex_pass()
-        essential[merges] = False
-        essential[negative] = False
-        return (*finite, self._edge_values(np.flatnonzero(essential)))
+        hi, _, merged = self._forward()
+        n = len(self.values)
+        lower = np.bincount(hi, minlength=n)
+        paired = negative if merged is None else np.concatenate([negative, merged[1]])
+        count = lower - (lower > 0) - np.bincount(hi[paired], minlength=n)
+        return (*finite, np.repeat(self.values, count))
 
     def dgm2(self):
         *_, roots = self._triangle_pass()

@@ -5,6 +5,7 @@ import pytest
 
 from cmdist import (
     BiFunction,
+    CmdResult,
     PersistenceDiagram,
     VertexFunction,
     bottleneck_distance,
@@ -179,6 +180,14 @@ def test_hot_path_builds_no_point_objects(monkeypatch):
             g_value(f, h, k, t)
     grid_scan(f, h, 0, n=16)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["value", "gap"])
+def test_cmd_result_rejects_a_nan_certificate(name):
+    obj = {"value": 0.5, "argmax_t": 0.25, "gap": 0.0, "evaluations": 3, "mode": "branch-and-bound"}
+    assert CmdResult.from_json(obj).gap == 0.0
+    with pytest.raises(ValueError, match="certificate"):
+        CmdResult.from_json({**obj, name: math.nan})
 
 
 def test_cmd_requires_positive_eps(cone64, disk64):

@@ -12,6 +12,7 @@ from cmdist import (
     candidate_costs,
     lower_star_diagram,
 )
+from cmdist.jsonio import dumps_canonical
 
 from conftest import get_fixture
 from oracles import (
@@ -372,6 +373,17 @@ def test_diagram_stability_under_value_perturbation():
             d0 = lower_star_diagram(cx, values, k)
             d1 = lower_star_diagram(cx, noisy, k)
             assert bottleneck_distance(d0, d1) <= eps + 1e-12
+
+
+def test_canonical_json_keeps_the_sign_of_zero():
+    """-0.0 is written as -0.0: ``-0`` would read back as the int 0 and lose its sign."""
+    d = dgm((-0.0, 1.0), (-2.0, -0.0), (-0.0, INF))
+    text = dumps_canonical(d.to_json())
+    again = PersistenceDiagram.from_json(json.loads(text))
+    assert again.finite.view(np.int64).tolist() == d.finite.view(np.int64).tolist()
+    assert again.essential.view(np.int64).tolist() == d.essential.view(np.int64).tolist()
+    assert dumps_canonical(again.to_json()) == text
+    assert dumps_canonical([-0.0, 0.0, 1.0]) == "[\n  -0.0,\n  0,\n  1\n]\n"
 
 
 def test_json_round_trip():

@@ -193,6 +193,14 @@ def _pinched_disks():
                                             [(4, 17)])
 
 
+def _surfaces_at_size():
+    """Torus, annulus and Moebius strip on 16 x 16 and 40 x 40 grids."""
+    for n in (16, 40):
+        yield f"torus:{n}", _grid_surface(n, n, wrap_rows=True, wrap_cols=True)
+        yield f"annulus:{n}", _grid_surface(n, n, wrap_cols=True)
+        yield f"moebius:{n}", _grid_surface(n, n, wrap_cols=True, twist=True)
+
+
 def test_dual_route_on_small_surfaces():
     rng = np.random.default_rng(43)
     surfaces = {
@@ -214,6 +222,13 @@ def test_dual_route_on_small_surfaces():
             counts = tuple(sum(1 for p in lower_star_diagram(cx, values, k).expanded()
                                if math.isinf(p[1])) for k in (1, 2))
             assert counts == essentials[name], (name, trial)
+    zrng = np.random.default_rng(79)
+    for name, cx in _surfaces_at_size():
+        normal = rng.normal(size=cx.n_vertices)
+        for values in (normal, np.round(normal), signed_zero_plateaus(zrng, normal)):
+            _assert_dual_route(cx, values, name)
+            counts = tuple(len(lower_star_diagram(cx, values, k).essential) for k in (1, 2))
+            assert counts == essentials[name.split(":")[0]], name
 
 
 def test_dual_route_matches_references_on_fixtures(all_fixture_names):
@@ -425,16 +440,34 @@ def test_degree1_runs_the_forward_pass_only_with_1_cycles(monkeypatch):
                 inputs.append(((name, t), cx, values))
     expected = [_oracle(cx, values)[1] for _, cx, values in inputs]
     cycles = {name: cx for name, cx in _small_surfaces().items() if name != "pinched"}
+    for cx in [cx for _, cx, _ in inputs] + list(cycles.values()):
+        assert cx._betti0 == 1  # kept by the complex, counted by degree 0 before the patch
+    forward = persistence._LowerStar._forward
 
     def no_forward_pass(self):
         raise AssertionError("forward pass")
 
-    monkeypatch.setattr(persistence._LowerStar, "_vertex_pass", no_forward_pass)
+    monkeypatch.setattr(persistence._LowerStar, "_forward", no_forward_pass)
     for (label, cx, values), want in zip(inputs, expected):
         assert _bit_rows(lower_star_diagram(cx, values, 1)) == _bit_rows(want), label
     for name, cx in cycles.items():
         with pytest.raises(AssertionError, match="forward pass"):
             lower_star_diagram(cx, rng.normal(size=cx.n_vertices), 1)
+
+    # with 1-cycles, degree 1 runs the one forward pass exactly once
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return forward(self)
+
+    monkeypatch.setattr(persistence._LowerStar, "_forward", counted)
+    for name, cx in cycles.items():
+        values = rng.normal(size=cx.n_vertices)
+        want = _oracle(cx, values)[1]
+        calls.clear()
+        assert _bit_rows(lower_star_diagram(cx, values, 1)) == _bit_rows(want), name
+        assert len(calls) == 1, name
 
 
 def test_disk_degrees_1_and_2_never_rank_the_vertices(monkeypatch):
@@ -452,6 +485,25 @@ def test_disk_degrees_1_and_2_never_rank_the_vertices(monkeypatch):
     assert got == expected
 
 
+def test_degree1_never_ranks_the_vertices_on_annuli(monkeypatch):
+    """Height-like values on an annulus: degree 1 counts its essentials without ranks."""
+    inputs = []
+    for rows, cols in ((8, 12), (20, 30)):
+        cx = _grid_surface(rows, cols, wrap_cols=True)
+        row, col = np.divmod(np.arange(cx.n_vertices), cols)
+        inputs.append(((rows, cols), cx, row + 0.1 * np.cos(2 * np.pi * col / cols)))
+    expected = [_bit_rows(_oracle(cx, values)[1]) for _, cx, values in inputs]
+
+    def no_ranks(self):
+        raise AssertionError("the vertices were ranked")
+
+    monkeypatch.setattr(persistence._LowerStar, "order", property(no_ranks))
+    for (label, cx, values), want in zip(inputs, expected):
+        got = lower_star_diagram(cx, values, 1)
+        assert len(got.essential) == 1, label
+        assert _bit_rows(got) == want, label
+
+
 def test_degrees_1_and_2_keep_the_bits_of_signed_zeros():
     """Births and deaths are the bytes of the later vertex value, -0.0 and 0.0 apart."""
     rng = np.random.default_rng(71)
@@ -464,6 +516,9 @@ def test_degrees_1_and_2_keep_the_bits_of_signed_zeros():
     for trial in range(40):
         cx = random_complex(rng)
         cases.append((trial, cx, rng.normal(size=cx.n_vertices)))
+    for name, cx in _surfaces_at_size():
+        normal = rng.normal(size=cx.n_vertices)
+        cases += [(name, cx, normal), (name, cx, np.round(normal))]
     for label, cx, values in cases:
         values = signed_zero_plateaus(zrng, values)
         expected = _oracle(cx, values)
