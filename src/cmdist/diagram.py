@@ -106,12 +106,18 @@ class PersistenceDiagram:
                 f"essential={self.essential.tolist()!r})")
 
     def _merged(self) -> list[tuple[float, float, int]]:
-        """(birth, death, multiplicity) of each distinct point, sorted by (birth, death)."""
+        """(birth, death, multiplicity) of each distinct point, sorted by (birth, death).
+
+        Points are distinct by their bits: of rows with equal values, the
+        ones with -0.0 for birth, then for death, come first.
+        """
         essential = np.column_stack((self.essential, np.full(len(self.essential), INF)))
         rows = np.concatenate([self.finite, essential])
-        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        positive = ~np.signbit(rows)
+        rows = rows[np.lexsort((positive[:, 1], positive[:, 0], rows[:, 1], rows[:, 0]))]
+        bits = rows.view(np.int64)
         new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
         first = np.flatnonzero(new)
         counts = np.diff(np.append(first, len(rows)))
         return [(b, d, m) for (b, d), m in zip(rows[first].tolist(), counts.tolist())]

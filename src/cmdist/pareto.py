@@ -11,11 +11,13 @@ equal-cost breakpoints of projected gaps, and osculating-circle
 coincidences.  That search tabulates every branch's hits as arrays over
 one shared t-grid.  Each special-value condition is one array function of
 those hits: it runs on the grid to bracket roots and on one-element arrays
-to polish them.  Roots are polished by :func:`_brentq`, a pure-Python port
-of ``scipy.optimize.brentq`` that the tests check against SciPy's bit for
-bit.  Sampled contours are not-a-knot cubic splines fitted in numpy, whose
-orthogonal hits are roots of one quadratic per piece, so no part of this
-module loads SciPy.
+to polish them.  Roots are polished by :func:`_brentq`, which takes the
+steps of ``scipy.optimize.brentq`` (the tests check its roots against
+SciPy's bit for bit) from the bracket values the grid already holds.  Where
+SciPy would raise, on a NaN or without convergence, it gives no root, and
+the bracket is dropped as one with a NaN grid sample is.  Sampled contours
+are not-a-knot cubic splines fitted in numpy, whose orthogonal hits are
+roots of one quadratic per piece, so no part of this module loads SciPy.
 """
 
 from __future__ import annotations
@@ -74,29 +76,17 @@ _BRENT_RTOL = 4 * math.ulp(1.0)  # scipy.optimize.brentq's default rtol
 _BRENT_MAXITER = 100  # and its default maxiter
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method, step for step as ``scipy.optimize.brentq``.
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float | None:
+    """Root of ``f`` in the bracket [xpre, xcur] by Brent's method, or None.
 
-    A port of SciPy's C routine with its default rtol and maxiter, its float
-    operations and its errors: ValueError when f(a) and f(b) have the same
-    sign bit or a value is NaN, RuntimeError after ``_BRENT_MAXITER`` steps.
-    Each step calls ``f``, which costs more than the step itself, so the port
-    loses nothing to the C kernel.
+    ``fpre`` and ``fcur`` are ``f`` at the two ends, nonzero and of opposite
+    signs.  The steps are those of ``scipy.optimize.brentq`` with its default
+    rtol and maxiter, float operation for float operation, so a root agrees
+    with SciPy's bit for bit.  Where SciPy raises, this returns None: when
+    ``f`` is NaN at a step, or after ``_BRENT_MAXITER`` steps without
+    convergence.  Each step calls ``f``, which costs more than the step
+    itself, so the port loses nothing to the C kernel.
     """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -128,8 +118,10 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +579,16 @@ def _split_at_inflections(c: Contour) -> list[ContourBranch]:
     if c.is_analytic:
         return [make(0.0, 1.0)]
     grid = np.linspace(0.0, 1.0, 8 * (len(c.samples) - 1) + 1)
-    kappa = _curvature(c.velocity(grid), c.acceleration(grid))[1]
-    small = np.abs(kappa) < CURVATURE_FLOOR
+    v, a = c.velocity(grid), c.acceleration(grid)
+    small = np.abs(_curvature(v, a)[1]) < CURVATURE_FLOOR
+    cross = v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]  # the sign of the curvature
 
     def cross_of(x):
         v2, a2 = c.velocity(x), c.acceleration(x)
         return float(v2[0] * a2[1] - v2[1] * a2[0])
 
     # inflections inside curved runs, then the ends of straight runs
-    cuts = [0.0, 1.0, *_scan_roots(cross_of, grid, np.where(small, np.nan, kappa))]
+    cuts = [0.0, 1.0, *_scan_roots(cross_of, grid, np.where(small, np.nan, cross))]
     for i in np.flatnonzero(small[:-1] != small[1:]).tolist():
         cuts.append(float(grid[i + 1] if small[i + 1] else grid[i]))
     cuts = sorted(set(cuts))
@@ -724,14 +717,17 @@ def _chebyshev_nodes(lo: float, hi: float, n: int = 17) -> list[float]:
 
 
 def _scan_roots(fn, ts: np.ndarray, values: np.ndarray):
-    """Brackets where a sample is 0 or changes sign to the next, both not NaN, polished with Brent's method."""
+    """Roots of ``fn`` from its ``values`` at ``ts``: samples that are 0, and sign changes
+    between neighbours, both not NaN, polished with Brent's method.  A bracket in which
+    ``fn`` turns NaN, or Brent does not converge, gives no root, as a NaN sample does."""
     a, b = values[:-1], values[1:]
     brackets = np.flatnonzero(~(np.isnan(a) | np.isnan(b)) & ((a == 0.0) | (a * b < 0)))
     roots = [float(ts[i]) if a[i] == 0.0
-             else _brentq(fn, ts[i], ts[i + 1], xtol=1e-12) for i in brackets]
+             else _brentq(fn, float(ts[i]), float(ts[i + 1]), float(a[i]), float(b[i]), xtol=1e-12)
+             for i in brackets]
     if len(values) and values[-1] == 0.0:
         roots.append(float(ts[-1]))
-    return roots
+    return [root for root in roots if root is not None]
 
 
 class _BranchTables:
@@ -851,8 +847,6 @@ def special_values(contours_phi, contours_psi) -> list[SpecialValue]:
     root_condition = {"equal-projection": "equal-cost-breakpoint", "equal-signed-radius":
                       "osculating-equality", "angle-derivative": "osculating-formula"}
 
-    grid_index = {t: k for k, t in enumerate(tables.ts.tolist())}
-
     def osc_warnings(indices):
         return ("osculating-unstable",) if any(tables.unstable[m] for m in indices) else ()
 
@@ -870,8 +864,6 @@ def special_values(contours_phi, contours_psi) -> list[SpecialValue]:
             probes = {}
 
             def polish(t):
-                if t in grid_index:  # a bracket end: the table holds the same value
-                    return float(values[grid_index[t]])
                 probes[t] = tables.evaluate(condition, indices, t)
                 return float(probes[t][0][0])
 

@@ -103,15 +103,11 @@ def _basin_merges(step, roots, u, v, order):
     end nodes of every edge, and ``order(edges)`` returns the given edges in
     filtration order.  The union-find runs over the basins and the edges
     that join two of them, in that order.  Only the first join between two
-    basins can merge them, so the later ones are dropped before it.  With
-    one basin every edge lies inside it, so nothing merges and the single
-    root survives: that case returns at once, without pointer jumping.
-    Returns the dying basins, the edges that merge them, and the surviving
-    basins, basins as places in ``roots``.
+    basins can merge them, so the later ones are dropped before it.  Needs
+    at least two roots: with one, nothing merges, and both callers return
+    before they get here.  Returns the dying basins, the edges that merge
+    them, and the surviving basins, basins as places in ``roots``.
     """
-    if len(roots) == 1:
-        none = np.empty(0, dtype=np.int64)
-        return none, none, np.zeros(1, dtype=np.int64)
     basin = _basins(step, roots)
     bu, bv = basin[u], basin[v]
     joins = order(np.flatnonzero(bu != bv))
@@ -156,16 +152,20 @@ def _diagram(k, births, deaths, essential_births) -> PersistenceDiagram:
 
 
 def simplex_values(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Largest vertex value of each row of ``simplices``.
+    """Value of each row of ``simplices``, that of its last vertex in the (value, index) order.
 
-    Column-wise ``np.maximum``.  On rows of length 2 or 3, ``max``, ``min``,
-    ``argmin``, ``sort`` and ``diff`` with ``axis=1`` are several times
-    slower than the same work done column by column (compare-swaps for a
-    sort), as here, in the dual pass and in mesh construction.
+    Rows ascend, so on a tie the later column is the later vertex; ``where``
+    takes it and so keeps the bytes of a signed zero, whereas which of -0.0
+    and 0.0 ``np.maximum`` returns depends on the CPU.  On rows of length 2
+    or 3, ``max``, ``min``, ``argmin``, ``sort`` and ``diff`` with
+    ``axis=1`` are several times slower than the same work done column by
+    column (compare-swaps for a sort), as here, in the dual pass and in mesh
+    construction.
     """
     out = values[simplices[:, 0]]
     for c in range(1, simplices.shape[1]):
-        np.maximum(out, values[simplices[:, c]], out=out)
+        col = values[simplices[:, c]]
+        out = np.where(out <= col, col, out)
     return out
 
 
@@ -213,14 +213,7 @@ class _LowerStar:
         return _padded(np.sort(self.rank[simplices], axis=1))
 
     def _edge_values(self, idx):
-        """Value of each given edge, that of its later end.
-
-        Edge rows ascend, so ``values[e0] <= values[e1]`` picks the later end
-        in the (value, index) order; ``where`` keeps the bytes of a signed
-        zero, which ``np.maximum`` of -0.0 and 0.0 may not.
-        """
-        v0, v1 = self.values.take(self.complex.edges.take(idx, axis=0)).T
-        return np.where(v0 <= v1, v1, v0)
+        return simplex_values(self.values, self.complex.edges[idx])
 
     def _edge_key(self, idx):
         """Distinct integer of each given edge, hi * n + lo, that sorts them in key order.

@@ -97,6 +97,12 @@ def naive_diagrams(simplices, values):
     return {k: sorted(v) for k, v in diagrams.items()}
 
 
+def bit_rows(diagram):
+    """Finite rows and essential births as sorted bit patterns, so -0.0 and 0.0 differ."""
+    return (sorted(map(tuple, diagram.finite.view(np.int64).tolist())),
+            sorted(diagram.essential.view(np.int64).tolist()))
+
+
 def diagram_multiset(diagram):
     """Sorted (birth, death) list with multiplicity expanded."""
     return sorted(diagram.expanded())

@@ -194,6 +194,30 @@ def test_plots_are_written(tmp_path):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
+def test_infinite_distances_through_the_cli(tmp_path, capsys):
+    """cone has no degree-2 class and sphere one, so every distance between them is infinite."""
+    from cmdist import CmdResult
+
+    pair = ["--fixture", "cone:16", "--fixture2", "sphere:16", "--degree", "2"]
+    for mode in ("bnb", "grid"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["cmd", *pair, "--mode", mode, "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["value"] == "inf" and [row["g"] for row in payload["trace"]] == ["inf"]
+        result = CmdResult.from_json(payload)
+        assert result.value == math.inf and result.trace == ((0.0, math.inf),)
+    out = tmp_path / "compare.json"
+    assert main(["compare", *pair, "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["cmd"]["value"] == "inf" and payload["matchdist"]["value"] == "inf"
+    table = capsys.readouterr().out.splitlines()
+    assert table[1].split() == ["convex", "matching", "distance", "inf"]
+    assert table[4].split()[-1] == "inf"
+    out = tmp_path / "b.json"
+    assert main(["bottleneck", *pair, "--t", "0.5", "--out", str(out)]) == 0
+    assert read_json(out)["bottleneck"] == "inf"
+
+
 def test_exit_codes():
     assert main(["cmd", "--fixture", "nosuch:16", "--fixture2", "disk:16"]) == 1
     assert main(["diagram", "--fixture", "cone:16", "--degree", "1"]) == 1  # missing --t

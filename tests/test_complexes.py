@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,39 @@ def test_unsupported_face_arity(tmp_path):
     mesh, values = write_minimal_off(tmp_path, text, "0,0\n" * 4)
     with pytest.raises(MeshError, match="arity"):
         load_complex(mesh, values)
+
+
+VERTICES = "0 0 0\n1 0 0\n0 1 0\n"
+VALUES = "0,0\n1,1\n2,2\n"
+
+
+@pytest.mark.parametrize("off_text, values_text, message", [
+    ("", VALUES, "mesh.off: empty OFF file"),
+    ("OFF\n", VALUES, "mesh.off: missing counts line"),
+    ("OFF\n3\n" + VERTICES, VALUES, "mesh.off: malformed counts line"),
+    ("OFF\n3 x 0\n" + VERTICES, VALUES, "mesh.off: malformed counts line"),
+    ("OFF\n3 2 0\n" + VERTICES + "3 0 1 2\n", VALUES, "mesh.off: truncated face section"),
+    ("OFF\n3 1 0\n0 0\n1 0 0\n0 1 0\n3 0 1 2\n", VALUES,
+     "mesh.off: vertex line with fewer than 3 coordinates"),
+    ("OFF\n3 1 0\n0 0 z\n1 0 0\n0 1 0\n3 0 1 2\n", VALUES, "mesh.off: non-numeric vertex coordinate"),
+    ("OFF\n3 1 0\n" + VERTICES + "3 0 1 two\n", VALUES, "mesh.off: non-numeric face line"),
+    ("OFF\n3 1 0\n" + VERTICES + "3 0 1\n", VALUES, "mesh.off: face line shorter than its arity"),
+    ("OFF\n3 1 0\n0 0 nan\n1 0 0\n0 1 0\n3 0 1 2\n", VALUES, "mesh.off: non-finite vertex coordinate"),
+    (SINGLE_TRIANGLE_OFF, "0,0\n1,1,1\n2,2\n", "values.csv:2: expected two columns, got 3"),
+    (SINGLE_TRIANGLE_OFF, "0,0\n1,1\n2,two\n", "values.csv:3: non-numeric value"),
+])
+def test_load_complex_names_each_defect(tmp_path, off_text, values_text, message):
+    mesh, values = write_minimal_off(tmp_path, off_text, values_text)
+    with pytest.raises(MeshError, match=re.escape(message) + "$"):
+        load_complex(mesh, values)
+
+
+def test_counts_on_the_off_line_and_blank_value_lines_are_accepted(tmp_path):
+    mesh, values = write_minimal_off(tmp_path, "OFF 3 1 0\n" + VERTICES + "3 0 1 2\n",
+                                     "\n0,0\n\n1,1\n  \n2,2\n\n")
+    cx, f = load_complex(mesh, values)
+    assert cx.n_vertices == 3 and len(cx.triangles) == 1
+    assert f.phi1.values.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_explicit_edges_are_kept(tmp_path):

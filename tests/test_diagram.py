@@ -18,6 +18,7 @@ from conftest import get_fixture
 from oracles import (
     DIAGONAL,
     DiagramPoint,
+    bit_rows,
     bottleneck_bruteforce,
     bottleneck_candidate_grid,
     bottleneck_scipy_matching,
@@ -384,6 +385,20 @@ def test_canonical_json_keeps_the_sign_of_zero():
     assert again.essential.view(np.int64).tolist() == d.essential.view(np.int64).tolist()
     assert dumps_canonical(again.to_json()) == text
     assert dumps_canonical([-0.0, 0.0, 1.0]) == "[\n  -0.0,\n  0,\n  1\n]\n"
+    # equal points of either sign stay apart, -0.0 first among equal values, in any input order
+    mixed = [(0.0, INF), (-0.0, INF), (0.0, 1.0), (-0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]
+    texts = set()
+    for order in (mixed, mixed[::-1]):
+        d = dgm(*order, degree=1)
+        rows = [(p["birth"], p["death"], p["multiplicity"]) for p in d.to_json()["points"]]
+        assert repr(rows) == repr([(-1.0, -0.0, 1), (-1.0, 0.0, 1), (-0.0, 1.0, 2), (0.0, 1.0, 1),
+                                   (-0.0, "inf", 1), (0.0, "inf", 1)])
+        text = dumps_canonical(d.to_json())
+        again = PersistenceDiagram.from_json(json.loads(text))
+        assert bit_rows(again) == bit_rows(d)
+        assert dumps_canonical(again.to_json()) == text
+        texts.add(text)
+    assert len(texts) == 1
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import re
 
@@ -30,6 +31,7 @@ from cmdist import (
 )
 
 from cmdist import pareto
+from cmdist.cli import main
 from cmdist.pareto import (
     _BranchTables,
     _angle_derivative,
@@ -411,6 +413,35 @@ def test_unstable_curvature_degrades_to_warnings(sphere_contours):
     assert any("osculating-unstable" in s.warnings for s in sv)
 
 
+def _nan_in_bracket_pair():
+    # a bumpy sampled arc on which the equal-radius condition turns NaN at t = 0.37558,
+    # inside the grid bracket [0.375, 0.3789] of a sign change
+    rng = np.random.default_rng(299)
+    n = int(rng.integers(12, 40))
+    theta = np.linspace(math.pi, 1.5 * math.pi, n)
+    samples = np.column_stack([np.cos(theta), rng.uniform(0.5, 2) * np.sin(theta)])
+    for _ in range(int(rng.integers(1, 4))):
+        samples[int(rng.integers(1, n - 1))] *= 1 + rng.uniform(-3e-3, 3e-3)
+    arc = arc_contour(rng.uniform(-0.5, 0.5, 2), (rng.uniform(0.5, 2), rng.uniform(0.5, 2)),
+                      (math.pi, 1.5 * math.pi), "arc")
+    return Contour(samples, "bumpy"), arc
+
+
+def test_nan_inside_a_bracket_drops_the_bracket(tmp_path):
+    bumpy, arc = _nan_in_bracket_pair()
+    sv = special_values([bumpy], [arc])
+    assert all(0.0 <= s.t <= 1.0 for s in sv)
+    assert any("osculating-unstable" in s.warnings for s in sv)
+    c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"
+    save_contours(c1, [bumpy])
+    save_contours(c2, [arc])
+    out = tmp_path / "sv.json"
+    assert main(["special", "--contours", str(c1), "--contours2", str(c2), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["special_values"]
+    assert rows and all(0.0 <= row["t"] <= 1.0 for row in rows)
+    assert any("osculating-unstable" in row.get("warnings", ()) for row in rows)
+
+
 def test_duplicate_ids_rejected(sphere_contours):
     with pytest.raises(ContourError, match="duplicate"):
         special_values(sphere_contours, sphere_contours)
@@ -579,8 +610,8 @@ def _scan_roots_loop(fn, ts, values):
 
 def test_scan_roots_brackets():
     ts = np.linspace(0.0, 1.0, 11)
-    fn = lambda t: (t - 0.45) * (t - 0.95)
     values = np.array([1.0, 0.0, -1.0, np.nan, -1.0, 1.0, np.nan, 0.0, np.nan, -1.0, 1.0])
+    fn = lambda t: float(np.interp(t, ts, values))  # values are fn's own values at ts
     roots = _scan_roots(fn, ts, values)
     # a zero before a NaN sample (index 7) brackets nothing; a zero followed by a number is a root
     assert roots[0] == ts[1] and len(roots) == 3
@@ -596,11 +627,11 @@ def test_scan_roots_brackets():
         assert _scan_roots(interp, grid, values) == _scan_roots_loop(interp, grid, values)
 
 
-def _root_or_error(solver, f, a, b, **kw):
+def _root_or_none(f, a, b, **kw):
     try:
-        return "root", solver(f, a, b, **kw)
-    except (ValueError, RuntimeError) as exc:
-        return "error", (type(exc), str(exc))
+        return brentq(f, a, b, **kw)
+    except (ValueError, RuntimeError):
+        return None
 
 
 def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch):
@@ -617,23 +648,24 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch):
             f = family(rng.uniform(-1, 1, 4).tolist())
             a = float(rng.uniform(-2, 1))
             b = a + float(rng.uniform(1e-6, 3))
+            fa, fb = f(a), f(b)
+            if not fa * fb < 0:  # the contract: nonzero ends of opposite signs
+                continue
             for xtol in (1e-12, 1e-13, 2e-12):
                 for maxiter in (100, 4):  # 4 steps leave most brackets unconverged
                     monkeypatch.setattr(pareto, "_BRENT_MAXITER", maxiter)
-                    want = _root_or_error(brentq, f, a, b, xtol=xtol, maxiter=maxiter)
-                    got = _root_or_error(_brentq, f, a, b, xtol=xtol)
-                    assert got == want, (name, a, b, xtol, maxiter)
-                    if want[0] == "root":
-                        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
-                    outcomes.add(want)
+                    want = _root_or_none(f, a, b, xtol=xtol, maxiter=maxiter)
+                    got = _brentq(f, a, b, fa, fb, xtol=xtol)
+                    assert (got is None) == (want is None), (name, a, b, xtol, maxiter)
+                    if want is not None:
+                        assert got.hex() == want.hex(), (name, a, b, xtol, maxiter)
+                    outcomes.add(want is None)
     monkeypatch.undo()
-    assert {kind for kind, _ in outcomes} == {"root", "error"}
-    assert {ValueError, RuntimeError} <= {value[0] for kind, value in outcomes if kind == "error"}
+    assert outcomes == {True, False}
     nan_beyond = lambda x: math.nan if x > 0.5 else x - 0.7
-    nan_error = _root_or_error(_brentq, nan_beyond, 0.0, 1.0, xtol=2e-12)
-    assert nan_error[0] == "error" and nan_error[1][0] is ValueError
-    assert _root_or_error(brentq, nan_beyond, 0.0, 1.0, xtol=2e-12) == nan_error
-    assert _brentq(lambda x: x, -1.0, 1.0, xtol=2e-12) == brentq(lambda x: x, -1.0, 1.0)
+    assert _root_or_none(nan_beyond, 0.0, 1.0, xtol=2e-12) is None
+    assert _brentq(nan_beyond, 0.0, 1.0, -0.7, 0.3, xtol=2e-12) is None
+    assert _brentq(lambda x: x, -1.0, 1.0, -1.0, 1.0, xtol=2e-12) == brentq(lambda x: x, -1.0, 1.0)
 
 
 # --- special-value route for the distance ---------------------------------------------
